@@ -53,18 +53,16 @@ int main(int argc, char** argv) {
   spec.apps = opt.app_names;
   spec.node_counts = opt.node_counts;
   spec.thresholds = {0.5, 1.0, 2.0, 4.0};  // interval-length factors
-  spec.batches = opt.batches;
   spec.scale = opt.scale;
 
   return bench::sharded_sweep<sim::RunSummary, IntervalRow>(
       spec.expand(), opt, "ablation_intervals",
-      [&opt](const driver::SpecPoint& pt) {
+      [](const driver::SpecPoint& pt) {
         const auto& app = apps::app_by_name(pt.app);
         const InstrCount base = apps::scaled_interval(app.name, pt.scale);
         MachineConfig cfg = default_config(pt.nodes);
         cfg.phase.interval_instructions = static_cast<InstrCount>(
             static_cast<double>(base) * pt.threshold);
-        cfg.batch_size = pt.batch != 0 ? pt.batch : opt.batch_size;
         cfg.seed = interval_seed(pt);
         sim::Machine machine(cfg);
         return machine.run(app.factory(pt.scale));

@@ -74,7 +74,6 @@ int main(int argc, char** argv) {
   for (const Topology topo : kTopologies)
     spec.detectors.push_back(topology_name(topo));
   spec.protocols = opt.protocols;
-  spec.batches = opt.batches;
   spec.scale = opt.scale;
 
   return bench::sharded_sweep<sim::RunSummary, ProtocolRow>(
@@ -84,7 +83,6 @@ int main(int argc, char** argv) {
         MachineConfig cfg = default_config(pt.nodes);
         cfg.network.topology = topology_of(pt);
         cfg.protocol = bench::protocol_of_point(pt);
-        cfg.batch_size = pt.batch != 0 ? pt.batch : opt.batch_size;
         cfg.phase.interval_instructions =
             apps::scaled_interval(app.name, pt.scale);
         cfg.seed = protocol_seed(pt);

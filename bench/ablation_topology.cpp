@@ -66,18 +66,16 @@ int main(int argc, char** argv) {
   spec.node_counts = {kNodes};
   for (const Topology topo : kTopologies)
     spec.detectors.push_back(topology_name(topo));
-  spec.batches = opt.batches;
   spec.scale = opt.scale;
 
   return bench::sharded_sweep<sim::RunSummary, TopologyRow>(
       spec.expand(), opt, "ablation_topology",
-      [&opt](const driver::SpecPoint& pt) {
+      [](const driver::SpecPoint& pt) {
         const auto& app = apps::app_by_name(pt.app);
         MachineConfig cfg = default_config(pt.nodes);
         cfg.network.topology = topology_of(pt);
         cfg.phase.interval_instructions =
             apps::scaled_interval(app.name, pt.scale);
-        cfg.batch_size = pt.batch != 0 ? pt.batch : opt.batch_size;
         cfg.seed = topology_seed(pt);
         sim::Machine machine(cfg);
         return machine.run(app.factory(pt.scale));

@@ -46,10 +46,6 @@ const char* usage_text() {
       "  --nodes=2,8,32             subset of node counts\n"
       "  --protocol=msi,mesi,moesi  coherence protocols to sweep (default:\n"
       "                             mesi only, not recorded as an axis)\n"
-      "  --batch=N | --batch=1,4,16 Machine→fabric access batch size, 1-64.\n"
-      "                             A single value is a pure execution knob\n"
-      "                             (output byte-identical to --batch=1); a\n"
-      "                             comma list sweeps batch as an axis\n"
       "  --csv=DIR                  dump full-resolution CSV (live runs;\n"
       "                             sharded: dsm_report render --csv=DIR)\n"
       "  --threads=N                sweep worker threads (0 = one per core,\n"
@@ -147,26 +143,6 @@ ParseResult parse_options(int argc, char** argv) {
       // byte-identical (seeds, records, output) to not passing the flag.
       if (opt.protocols == std::vector<std::string>{"mesi"})
         opt.protocols.clear();
-    } else if (arg.rfind("--batch=", 0) == 0) {
-      std::vector<unsigned> vals;
-      for (const auto& n : split(value("--batch="), ',')) {
-        unsigned long v = 0;
-        if (!parse_unsigned(n, 1, 64, v))
-          return fail(std::move(res),
-                      "bad --batch entry (want 1..64): " + n);
-        vals.push_back(static_cast<unsigned>(v));
-      }
-      if (vals.empty()) return fail(std::move(res), "empty --batch list");
-      if (vals.size() == 1) {
-        // Single value: a pure execution knob, never an axis — and
-        // --batch=1 is the serial default, so it normalizes to exactly
-        // the no-flag state (seeds, records, output all byte-identical).
-        opt.batches.clear();
-        opt.batch_size = vals[0];
-      } else {
-        opt.batches = vals;
-        opt.batch_size = 1;
-      }
     } else if (arg.rfind("--threads=", 0) == 0) {
       const std::string v = value("--threads=");
       unsigned long t = 0;
@@ -387,11 +363,10 @@ ObsConfig obs_config_for_point(const BenchOptions& opt,
 sim::RunSummary run_workload(const apps::AppInfo& app, apps::Scale scale,
                              unsigned nodes, bool verbose,
                              std::uint64_t seed, Protocol protocol,
-                             unsigned batch_size, const ObsConfig& obs) {
+                             const ObsConfig& obs) {
   MachineConfig cfg = default_config(nodes);
   cfg.phase.interval_instructions = apps::scaled_interval(app.name, scale);
   cfg.protocol = protocol;
-  cfg.batch_size = batch_size;
   cfg.seed = seed;
   cfg.obs = obs;
   const auto t0 = std::chrono::steady_clock::now();
@@ -452,8 +427,7 @@ std::vector<WorkloadResult> run_sweep(
         r.app = &dsm::apps::app_by_name(pt.app);
         try {
           r.run = run_workload(*r.app, pt.scale, pt.nodes, opt.verbose,
-                               driver::spec_seed(pt), Protocol::kMesi,
-                               opt.batch_size);
+                               driver::spec_seed(pt));
         } catch (const std::exception& e) {
           // Name the configuration: in a parallel sweep "which point
           // failed" is otherwise lost.

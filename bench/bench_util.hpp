@@ -70,16 +70,6 @@ struct BenchOptions {
   /// carry no protocol field. parse_options() normalizes an explicit
   /// {"mesi"} to empty, so --protocol=mesi is byte-identical to no flag.
   std::vector<std::string> protocols;
-  /// Batch sizes to sweep (--batch=1,4,16 — a comma list). Empty = batch
-  /// not swept: no axis, no envelope field, historical seeds intact.
-  std::vector<unsigned> batches;
-  /// Batch size as a plain execution knob (--batch=N, a single value):
-  /// every machine in the sweep runs MachineConfig::batch_size = N with
-  /// nothing else changed — seeds, records, and rendered output are
-  /// byte-identical to --batch=1, which is the point (batching never
-  /// changes simulated results). parse_options() normalizes a single
-  /// --batch=1 to exactly the no-flag state.
-  unsigned batch_size = 1;
   unsigned threads = 1;                ///< sweep workers; 0 = one per core
   /// --obs-stats: run every machine with the deterministic metrics
   /// registry on and attach the snapshot to each record as the envelope's
@@ -177,9 +167,7 @@ std::optional<int> maybe_orchestrate(int argc, char** argv,
 /// with the sampling interval scaled to the workload per DESIGN.md and the
 /// machine's RNG streams seeded from `seed` (pass spec_seed(point) inside
 /// sweeps so parallel and serial runs agree bit-for-bit). `protocol`
-/// selects the coherence-policy tables the fabric runs (default MESI);
-/// `batch_size` sets the Machine→fabric gather size (host-side only —
-/// simulated output is identical for every value).
+/// selects the coherence-policy tables the fabric runs (default MESI).
 /// `obs` configures the observability layer (metrics registry / event
 /// trace); the default runs with everything off, which is byte-identical
 /// to the pre-observability simulator.
@@ -187,7 +175,6 @@ sim::RunSummary run_workload(const apps::AppInfo& app, apps::Scale scale,
                              unsigned nodes, bool verbose,
                              std::uint64_t seed,
                              Protocol protocol = Protocol::kMesi,
-                             unsigned batch_size = 1,
                              const ObsConfig& obs = ObsConfig{});
 
 /// The per-point ObsConfig for opt: stats from --obs-stats, trace from
@@ -271,14 +258,13 @@ shard::StreamRecord make_stream_record(
       .add("nodes", static_cast<std::uint64_t>(pt.nodes))
       .add("variant", pt.detector)
       .add("param", pt.threshold);
-  // Protocol/batch ride in the envelope only when the sweep varies them,
-  // so every pre-existing stream stays byte-identical (readers default
-  // the absent fields to "mesi" / 1).
+  // Protocol rides in the envelope only when the sweep varies it, so
+  // every pre-existing stream stays byte-identical (readers default the
+  // absent field to "mesi").
   if (!pt.protocol.empty()) ctx.add("protocol", pt.protocol);
-  if (pt.batch != 0) ctx.add("batch", static_cast<std::uint64_t>(pt.batch));
   ctx.add("scale", std::string(apps::scale_name(pt.scale)));
   // The deterministic metrics snapshot, present only under --obs-stats —
-  // same optional-field precedent as protocol/batch above. Likewise the
+  // same optional-field precedent as protocol above. Likewise the
   // phase-attributed interval timeline under --obs-intervals.
   if (!obs_json.empty()) ctx.add_raw("obs", obs_json);
   if (!obs_intervals_json.empty())
@@ -448,7 +434,6 @@ int run_reduced_sweep(
   for (const auto* app : apps_selected) spec.apps.push_back(app->name);
   spec.node_counts = nodes;
   spec.protocols = opt.protocols;
-  spec.batches = opt.batches;
   spec.scale = opt.scale;
   const auto points = spec.expand();
   const bool multi = points.size() > 1;
@@ -467,7 +452,6 @@ int run_reduced_sweep(
         return run_workload(apps::app_by_name(pt.app), pt.scale, pt.nodes,
                             opt.verbose, driver::spec_seed(pt),
                             protocol_of_point(pt),
-                            pt.batch != 0 ? pt.batch : opt.batch_size,
                             obs_config_for_point(opt, pt, multi));
       },
       [&reduce](const driver::SpecPoint& pt, sim::RunSummary&& run) {

@@ -3,16 +3,15 @@
 #
 #   1. METRIC DETERMINISM: with --obs-stats the NDJSON stream (records now
 #      carrying the machine's `obs` snapshot) must be byte-identical
-#      across execution modes — single shard worker, in-process
-#      --shards=2 --threads=2 orchestration, and --batch=4 — across the
-#      full protocol axis. The snapshot is derived from simulated events
+#      across execution modes — single shard worker and --shards=2
+#      --threads=2 coordination — across the full protocol axis. The snapshot is derived from simulated events
 #      only, so how the host schedules the work must not show.
 #   2. NON-PERTURBATION: switching stats, interval capture AND tracing on
 #      must leave the live human stdout byte-identical to a plain run —
 #      observability watches the simulation, it never feeds back into it.
 #   3. INTERVAL DETERMINISM: the phase-attributed interval timeline
 #      (--obs-intervals, the `obs_intervals` field) rides the same
-#      guarantee as the snapshot — byte-identical across the same three
+#      guarantee as the snapshot — byte-identical across the same two
 #      execution modes — and `dsm_report timeline` must render it with
 #      exit 0, which includes the interval-sum reconciliation against the
 #      end-of-run snapshot.
@@ -29,7 +28,6 @@
 
 set(ref "${WORK_DIR}/${TAG}_ref.ndjson")
 set(threaded "${WORK_DIR}/${TAG}_threads.ndjson")
-set(batched "${WORK_DIR}/${TAG}_batch4.ndjson")
 
 # 1a. Reference stream: one shard worker with stats on.
 execute_process(
@@ -49,7 +47,7 @@ if(obs_pos EQUAL -1)
     "reference stream carries no 'obs' snapshot despite --obs-stats")
 endif()
 
-# 1b. Same points through the in-process orchestrator with worker threads.
+# 1b. Same points through the --shards=2 coordinator with worker threads.
 execute_process(
   COMMAND ${HARNESS} ${HARNESS_ARGS} --obs-stats --shards=2 --threads=2
   OUTPUT_FILE ${threaded}
@@ -62,21 +60,6 @@ if(NOT ref_bytes STREQUAL threaded_bytes)
   message(FATAL_ERROR
     "obs snapshots differ between --shard=0/1 and --shards=2 --threads=2:\n"
     "  reference: ${ref}\n  threaded:  ${threaded}")
-endif()
-
-# 1c. Same points with the batched access path.
-execute_process(
-  COMMAND ${HARNESS} ${HARNESS_ARGS} --obs-stats --shard=0/1 --batch=4
-  OUTPUT_FILE ${batched}
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--obs-stats --shard=0/1 --batch=4 exited with ${rc}")
-endif()
-file(READ ${batched} batched_bytes)
-if(NOT ref_bytes STREQUAL batched_bytes)
-  message(FATAL_ERROR
-    "obs snapshots differ between --batch=1 and --batch=4:\n"
-    "  reference: ${ref}\n  batched:   ${batched}")
 endif()
 
 # Offline consumers of the obs-carrying stream.
@@ -101,7 +84,6 @@ endif()
 # 3. The interval timeline must be byte-identical across the same modes.
 set(iv_ref "${WORK_DIR}/${TAG}_iv_ref.ndjson")
 set(iv_threaded "${WORK_DIR}/${TAG}_iv_threads.ndjson")
-set(iv_batched "${WORK_DIR}/${TAG}_iv_batch4.ndjson")
 execute_process(
   COMMAND ${HARNESS} ${HARNESS_ARGS} --obs-intervals --shard=0/1
   OUTPUT_FILE ${iv_ref}
@@ -128,20 +110,6 @@ if(NOT iv_ref_bytes STREQUAL iv_threaded_bytes)
     "interval timelines differ between --shard=0/1 and --shards=2 "
     "--threads=2:\n  reference: ${iv_ref}\n  threaded:  ${iv_threaded}")
 endif()
-execute_process(
-  COMMAND ${HARNESS} ${HARNESS_ARGS} --obs-intervals --shard=0/1 --batch=4
-  OUTPUT_FILE ${iv_batched}
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--obs-intervals --shard=0/1 --batch=4 exited with ${rc}")
-endif()
-file(READ ${iv_batched} iv_batched_bytes)
-if(NOT iv_ref_bytes STREQUAL iv_batched_bytes)
-  message(FATAL_ERROR
-    "interval timelines differ between --batch=1 and --batch=4:\n"
-    "  reference: ${iv_ref}\n  batched:   ${iv_batched}")
-endif()
-
 # The timeline renderer must accept the stream — exit 0 implies every
 # record's interval sums + tail reconciled against its snapshot.
 execute_process(
@@ -212,6 +180,6 @@ if(te_pos EQUAL -1)
 endif()
 
 message(STATUS "obs equivalence OK (${TAG}): snapshots and interval "
-               "timelines byte-identical across shard/threads/batch, "
+               "timelines byte-identical across shard/threads, "
                "timeline reconciled, live stdout unperturbed, trace "
                "validated and converted")

@@ -17,18 +17,15 @@
 // machine-readable trajectory. The `total_latency` / message/byte counts
 // per configuration are simulated results and must be bit-identical
 // across optimization PRs — only the wall-clock numbers may change.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.hpp"
 #include "coherence/fabric.hpp"
-#include "common/assert.hpp"
 #include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "common/table_writer.hpp"
@@ -48,7 +45,6 @@ struct HotConfig {
 
 struct HotResult {
   HotConfig cfg{};
-  unsigned batch = 0;  ///< swept batch label (0 when the axis is unswept)
   std::uint64_t accesses = 0;
   double seconds = 0.0;
   // Deterministic simulation checksums — identical before/after any
@@ -93,23 +89,15 @@ std::uint64_t stream_seed(const HotConfig& hc) {
   return hash_combine(static_cast<std::uint64_t>(hc.topo) + 1, hc.nodes);
 }
 
-// The advance hook replays the serial loop's bookkeeping between batch
-// members, so the batched drive produces bit-identical checksums.
-struct BatchTick {
-  HotResult* res;
-  Cycle now;
+/// One access of the synthetic stream.
+struct HotReq {
+  Addr addr = 0;
+  bool write = false;
+  NodeId node = 0;
 };
 
-Cycle batch_tick(void* ctx, std::size_t /*index*/,
-                 const coh::AccessOutcome& out) {
-  auto* bt = static_cast<BatchTick*>(ctx);
-  bt->res->total_latency += out.latency;
-  bt->now += 4 + (out.latency >> 3);
-  return bt->now;
-}
-
 HotResult time_config(const HotConfig& hc, std::uint64_t accesses,
-                      unsigned batch, const ObsConfig& obs_cfg) {
+                      const ObsConfig& obs_cfg) {
   MachineConfig cfg = default_config(hc.nodes);
   cfg.network.topology = hc.topo;
   // Fabric-level driver, no Machine: construct the observability layer
@@ -136,10 +124,9 @@ HotResult time_config(const HotConfig& hc, std::uint64_t accesses,
   res.cfg = hc;
   res.accesses = accesses;
   // The synthetic stream is generated from the RNG and per-node stream
-  // positions alone — never from an outcome — so the batched drive can
-  // stage `batch` requests up front without changing the address trace.
+  // positions alone — never from an outcome.
   auto next_req = [&](std::uint64_t i) {
-    coh::CoherenceFabric::AccessReq rq;
+    HotReq rq;
     rq.node = static_cast<NodeId>(i % hc.nodes);
     const std::uint64_t r = rng.next_u64();
     const unsigned pick = static_cast<unsigned>(r % 100);
@@ -161,29 +148,12 @@ HotResult time_config(const HotConfig& hc, std::uint64_t accesses,
   };
 
   const auto t0 = std::chrono::steady_clock::now();
-  if (batch <= 1) {
-    Cycle now = 0;
-    for (std::uint64_t i = 0; i < accesses; ++i) {
-      const auto rq = next_req(i);
-      const auto out = fabric.access(rq.node, rq.addr, rq.write, now);
-      res.total_latency += out.latency;
-      now += 4 + (out.latency >> 3);
-    }
-  } else {
-    coh::CoherenceFabric::AccessReq reqs[coh::CoherenceFabric::kMaxBatch];
-    coh::AccessOutcome outs[coh::CoherenceFabric::kMaxBatch];
-    BatchTick bt{&res, 0};
-    for (std::uint64_t i = 0; i < accesses;) {
-      const std::size_t n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(batch, accesses - i));
-      for (std::size_t k = 0; k < n; ++k) reqs[k] = next_req(i + k);
-      // batch_tick never stops the batch, so one call completes it.
-      const std::size_t done = fabric.access_batch(
-          std::span<const coh::CoherenceFabric::AccessReq>(reqs, n),
-          std::span<coh::AccessOutcome>(outs, n), bt.now, &batch_tick, &bt);
-      DSM_ASSERT(done == n);
-      i += n;
-    }
+  Cycle now = 0;
+  for (std::uint64_t i = 0; i < accesses; ++i) {
+    const HotReq rq = next_req(i);
+    const auto out = fabric.access(rq.node, rq.addr, rq.write, now);
+    res.total_latency += out.latency;
+    now += 4 + (out.latency >> 3);
   }
   const auto t1 = std::chrono::steady_clock::now();
   res.seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -217,19 +187,13 @@ void write_json(const std::string& path, apps::Scale scale,
   f << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
-    // Swept batch values label their rows; unswept runs keep the
-    // pre-batching row shape byte-for-byte.
-    char batch_field[32] = "";
-    if (r.batch != 0)
-      std::snprintf(batch_field, sizeof(batch_field), "\"batch\": %u, ",
-                    r.batch);
     char buf[512];
     std::snprintf(buf, sizeof(buf),
-                  "    {\"topology\": \"%s\", \"nodes\": %u, %s"
+                  "    {\"topology\": \"%s\", \"nodes\": %u, "
                   "\"ops_per_sec\": %.0f, \"ns_per_access\": %.1f, "
                   "\"total_latency\": %llu, \"net_messages\": %llu, "
                   "\"net_bytes\": %llu}%s\n",
-                  topology_name(r.cfg.topo), r.cfg.nodes, batch_field,
+                  topology_name(r.cfg.topo), r.cfg.nodes,
                   r.ops_per_sec(), r.ns_per_access(),
                   static_cast<unsigned long long>(r.total_latency),
                   static_cast<unsigned long long>(r.net_messages),
@@ -288,25 +252,16 @@ int main(int argc, char** argv) {
     configs.push_back(c);
   }
 
-  // One spec point per configuration × batch value; the topology rides
-  // the variant label so the config key reads "run/8p/Hypercube" (with a
-  // "/bN" suffix when the batch axis is swept). The seed is the config's
-  // stream seed regardless of batch, so every batch value replays the
-  // identical access trace — the checksum columns MUST agree across a
-  // swept batch axis, which is the bit-identity demonstration.
-  const std::vector<unsigned> batch_axis =
-      opt.batches.empty() ? std::vector<unsigned>{0} : opt.batches;
+  // One spec point per configuration; the topology rides the variant
+  // label so the config key reads "run/8p/Hypercube".
   std::vector<driver::SpecPoint> points;
   for (const auto& c : configs) {
-    for (const unsigned b : batch_axis) {
-      driver::SpecPoint pt;
-      pt.nodes = c.nodes;
-      pt.detector = topology_name(c.topo);
-      pt.batch = b;
-      pt.scale = opt.scale;
-      pt.index = points.size();
-      points.push_back(std::move(pt));
-    }
+    driver::SpecPoint pt;
+    pt.nodes = c.nodes;
+    pt.detector = topology_name(c.topo);
+    pt.scale = opt.scale;
+    pt.index = points.size();
+    points.push_back(std::move(pt));
   }
 
   // Wall-clock is a live-only measurement (stderr + JSON trajectory);
@@ -315,16 +270,13 @@ int main(int argc, char** argv) {
   const int rc = bench::sharded_sweep<HotResult, HotResult>(
       points, opt, "perf_hotpath",
       [&](const driver::SpecPoint& pt) {
-        HotResult r = time_config(
-            configs[pt.index / batch_axis.size()], accesses,
-            pt.batch != 0 ? pt.batch : opt.batch_size,
+        return time_config(
+            configs[pt.index], accesses,
             bench::obs_config_for_point(opt, pt, points.size() > 1));
-        r.batch = pt.batch;
-        return r;
       },
       [](const driver::SpecPoint&, HotResult&& r) { return r; },
       [&](const driver::SpecPoint& pt) {
-        return stream_seed(configs[pt.index / batch_axis.size()]);
+        return stream_seed(configs[pt.index]);
       },
       [](const driver::SpecPoint&, const HotResult& r) {
         // Deterministic checksums only: wall-clock would break the
@@ -348,11 +300,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "self-profiler (tsc, inclusive):\n%s\n",
                  obs::prof_report_text().c_str());
 
-  TableWriter wall({"topology", "nodes", "batch", "Maccess/s", "ns/access"});
+  TableWriter wall({"topology", "nodes", "Maccess/s", "ns/access"});
   for (const auto& r : results) {
-    const unsigned eff = r.batch != 0 ? r.batch : opt.batch_size;
     wall.add_row({topology_name(r.cfg.topo), std::to_string(r.cfg.nodes),
-                  std::to_string(eff),
                   TableWriter::fmt(r.ops_per_sec() / 1e6, 3),
                   TableWriter::fmt(r.ns_per_access(), 4)});
   }

@@ -50,11 +50,11 @@ struct SimResult {
 
 SimResult time_config(const apps::AppInfo& app, apps::Scale scale,
                       unsigned nodes, std::uint64_t seed,
-                      unsigned batch_size, const ObsConfig& obs) {
+                      const ObsConfig& obs) {
   const auto t0 = std::chrono::steady_clock::now();
   sim::RunSummary run =
       bench::run_workload(app, scale, nodes, /*verbose=*/false, seed,
-                          Protocol::kMesi, batch_size, obs);
+                          Protocol::kMesi, obs);
   const auto t1 = std::chrono::steady_clock::now();
 
   SimResult r;
@@ -91,19 +91,13 @@ void write_json(const std::string& path, apps::Scale scale,
   f << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
-    // Swept batch values label their rows; unswept runs keep the
-    // pre-batching row shape byte-for-byte.
-    char batch_field[32] = "";
-    if (points[i].batch != 0)
-      std::snprintf(batch_field, sizeof(batch_field), "\"batch\": %u, ",
-                    points[i].batch);
     char buf[512];
     std::snprintf(buf, sizeof(buf),
-                  "    {\"app\": \"%s\", \"nodes\": %u, %s"
+                  "    {\"app\": \"%s\", \"nodes\": %u, "
                   "\"sim_mips\": %.3f, \"seconds\": %.3f, "
                   "\"instructions\": %llu, \"cycles\": %llu, "
                   "\"net_messages\": %llu, \"net_bytes\": %llu}%s\n",
-                  points[i].app.c_str(), points[i].nodes, batch_field,
+                  points[i].app.c_str(), points[i].nodes,
                   r.sim_mips(), r.seconds,
                   static_cast<unsigned long long>(r.instructions),
                   static_cast<unsigned long long>(r.cycles),
@@ -154,7 +148,6 @@ int main(int argc, char** argv) {
   driver::SweepSpec spec;
   for (const auto* app : apps_selected) spec.apps.push_back(app->name);
   spec.node_counts = nodes;
-  spec.batches = opt.batches;
   spec.scale = opt.scale;
   const auto points = spec.expand();
 
@@ -167,7 +160,6 @@ int main(int argc, char** argv) {
       [&](const driver::SpecPoint& pt) {
         return time_config(apps::app_by_name(pt.app), pt.scale, pt.nodes,
                            driver::spec_seed(pt),
-                           pt.batch != 0 ? pt.batch : opt.batch_size,
                            bench::obs_config_for_point(opt, pt,
                                                        points.size() > 1));
       },

@@ -5,7 +5,7 @@
 #      per-shard NDJSON files — the multi-host simulation: nothing but the
 #      files crosses process boundaries;
 #   2. `dsm_report merge` over the collected files must be byte-identical
-#      to the in-process `--shards=2` orchestrator's merged stream;
+#      to the `--shards=2` fleet coordinator's merged stream;
 #   3. `dsm_report render` over the merged file must be byte-identical to
 #      the harness's live human stdout (and agree on the exit code) —
 #      live output and offline render are the same renderer code on the
@@ -40,7 +40,7 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${HARNESS} --shard=1/2 exited with ${rc}")
 endif()
 
-# 2. In-process orchestrator reference stream.
+# 2. Fleet coordinator reference stream.
 execute_process(
   COMMAND ${HARNESS} ${HARNESS_ARGS} --shards=2
   OUTPUT_FILE ${merged_ref}
@@ -111,29 +111,6 @@ if(NOT live_bytes STREQUAL rendered_bytes)
     "  live:     ${live_out}\n  rendered: ${rendered}")
 endif()
 
-# 3b. Batch equivalence: the Machine→fabric access batch size is a pure
-# host-side execution knob, so the SAME live command with --batch=4 must
-# reproduce the live stdout byte for byte — records, tables, exit code.
-set(batch_out "${WORK_DIR}/${TAG}_live_batch4.txt")
-set(batch_cmd ${HARNESS} ${HARNESS_ARGS})
-if(LIVE_ARGS)
-  list(APPEND batch_cmd ${LIVE_ARGS})
-endif()
-list(APPEND batch_cmd "--batch=4")
-execute_process(
-  COMMAND ${batch_cmd}
-  OUTPUT_FILE ${batch_out}
-  RESULT_VARIABLE rc_batch)
-if(NOT rc_batch EQUAL 0)
-  message(FATAL_ERROR "live run with --batch=4 exited with ${rc_batch}")
-endif()
-file(READ ${batch_out} batch_bytes)
-if(NOT batch_bytes STREQUAL live_bytes)
-  message(FATAL_ERROR
-    "--batch=4 changed the simulated output (batching must be "
-    "bit-identical):\n  serial: ${live_out}\n  batched: ${batch_out}")
-endif()
-
 # 4. Optional: the CSV exports must match file for file.
 if(CSV)
   file(GLOB live_csvs RELATIVE "${WORK_DIR}/${TAG}_csv_live"
@@ -157,4 +134,4 @@ if(CSV)
 endif()
 
 message(STATUS "report pipeline OK (${TAG}): offline merge == --shards=2, "
-               "render == live stdout == live --batch=4 stdout")
+               "render == live stdout")

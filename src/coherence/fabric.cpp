@@ -60,10 +60,6 @@ CoherenceFabric::CoherenceFabric(const MachineConfig& cfg,
       obs_.fill_no_victim = obs->counter("coh.fill.no_victim");
       obs_.evict_writeback = obs->counter("coh.evict.writeback");
       obs_.evict_clean = obs->counter("coh.evict.clean");
-      obs_.batch_groups = obs->counter("host.batch.groups");
-      obs_.batch_members = obs->counter("host.batch.members");
-      obs_.batch_staged_miss = obs->counter("host.batch.staged_miss");
-      obs_.batch_degrade = obs->counter("host.batch.degrade_to_serial");
       // One histogram shared by every slice: probe lengths are a
       // property of the table algorithm, and per-home increments happen
       // in the same simulated order regardless of execution mode, so
@@ -94,6 +90,7 @@ const NodeCoherenceStats& CoherenceFabric::stats(NodeId n) const {
 
 AccessOutcome CoherenceFabric::access(NodeId node, Addr addr, bool is_write,
                                       Cycle now) {
+  DSM_PROF_SCOPE(kAccess);
   DSM_ASSERT(node < nodes_.size());
   Node& me = nodes_[node];
   const Addr line = me.l2.line_of(addr);
@@ -103,155 +100,19 @@ AccessOutcome CoherenceFabric::access(NodeId node, Addr addr, bool is_write,
   // so putting them in flight now turns the walk below from a chain of
   // serialized misses into parallel ones. Hints only — no simulated
   // state or timing changes. (peek_home keeps first-touch assignment
-  // where it always happened, inside do_access; an unassigned page has
+  // where it always happened, in home_of below; an unassigned page has
   // no directory slot to warm anyway.)
   me.l2.prefetch_set(line);
   const NodeId ph = home_map_->peek_home(line);
   if (ph != kNoNode) nodes_[ph].dir.prefetch(line);
 
   AccessOutcome out;
-  do_access(node, line, is_write, now, out, me.l1.lookup(line), nullptr,
-            nullptr);
-  return out;
-}
+  out.write = is_write;
+  out.home = home_map_->home_of(line, node);
+  if (is_write) ++me.stats.stores; else ++me.stats.loads;
 
-bool CoherenceFabric::access_l1_fast(NodeId node, Addr addr, bool is_write,
-                                     AccessOutcome& out) {
-  DSM_ASSERT(node < nodes_.size());
-  Node& me = nodes_[node];
-  const Addr line = me.l2.line_of(addr);
+  // ---- L1: one tag walk, reused below ----
   const mem::Cache::LineRef w1 = me.l1.lookup(line);
-  const LineState s1 = me.l1.state_of(w1);
-  if (s1 == LineState::kInvalid ||
-      (is_write && !store_permitted(*pol_, s1)))
-    return false;
-  // access()'s L1-hit arm, verbatim. The up-front prefetch hints are
-  // host-side only and useless on a hit, so they are skipped; a resident
-  // line's page is always already assigned, so home_of cannot first-touch
-  // here and reads the same answer the serial path would.
-  out = AccessOutcome{};
-  out.write = is_write;
-  out.home = home_map_->home_of(line, node);
-  if (is_write) ++me.stats.stores; else ++me.stats.loads;
-  me.l1.touch(w1);
-  if (is_write) {
-    const LineState next = pol_->store_hit[static_cast<unsigned>(s1)];
-    if (next != s1) {
-      me.l1.set_state(w1, next);
-      const mem::Cache::LineRef w2 = me.l2.lookup(line);
-      DSM_ASSERT(w2);
-      me.l2.set_state(w2, next);
-    }
-  }
-  ++me.stats.l1_hits;
-  out.l1_hit = true;
-  out.latency = cfg_.l1.latency_cycles;
-  out.source = DataSource::kL1;
-  return true;
-}
-
-std::size_t CoherenceFabric::access_batch(std::span<const AccessReq> reqs,
-                                          std::span<AccessOutcome> outs,
-                                          Cycle now, BatchAdvanceFn advance,
-                                          void* ctx) {
-  const std::size_t n = reqs.size();
-  DSM_ASSERT_MSG(n <= kMaxBatch, "batch exceeds kMaxBatch");
-  DSM_ASSERT(outs.size() >= n);
-  if (n == 0) return 0;
-
-  // ---- Stage 1: walk every member's tag lanes and put the host-DRAM
-  // lines stage 2/3 will need in flight — the L2 set lanes, the home
-  // directory slot, and each predicted miss's predicted-victim home
-  // slot. Everything here is const (no LRU movement, no counters, no
-  // first-touch assignment), so the resolution stage below replays the
-  // exact serial sequence. Stack arrays only: the steady state stays
-  // allocation-free.
-  Addr lines[kMaxBatch];
-  mem::Cache::LineRef w1s[kMaxBatch];
-  mem::Cache::FillCursor c2s[kMaxBatch];
-  bool staged_c2[kMaxBatch];
-  obs_.batch_groups.inc();
-  obs_.batch_members.add(n);
-  {
-    DSM_PROF_SCOPE(kBatchStage1);
-    for (std::size_t i = 0; i < n; ++i) {
-      const NodeId node = reqs[i].node;
-      DSM_ASSERT(node < nodes_.size());
-      Node& me = nodes_[node];
-      const Addr line = me.l2.line_of(reqs[i].addr);
-      lines[i] = line;
-      me.l2.prefetch_set(line);
-      const NodeId ph = home_map_->peek_home(line);
-      if (ph != kNoNode) nodes_[ph].dir.prefetch(line);
-      w1s[i] = me.l1.lookup(line);
-      const LineState s1 = me.l1.state_of(w1s[i]);
-      const bool l1_serves =
-          s1 != LineState::kInvalid &&
-          (!reqs[i].write || store_permitted(*pol_, s1));
-      staged_c2[i] = !l1_serves;
-      if (!l1_serves) {
-        obs_.batch_staged_miss.inc();
-        c2s[i] = me.l2.lookup_for_fill(line);
-        if (!c2s[i].ref &&
-            c2s[i].victim_line != mem::Cache::FillCursor::kNoLine) {
-          const NodeId vh = home_map_->peek_home(c2s[i].victim_line);
-          if (vh != kNoNode) nodes_[vh].dir.prefetch(c2s[i].victim_line);
-        }
-      }
-    }
-  }
-
-  // ---- Stage 2/3: resolve strictly in order through the same code the
-  // serial path runs, reusing each staged walk unless an earlier member
-  // disturbed its set (then re-walk — same-line/same-set conflicts
-  // degrade to ordered singles). States behind a handle are always
-  // re-read live in do_access; the masks only guard the *structural*
-  // validity of handles and the LRU-dependent victim choice.
-  // A single-member batch (common when a sync point flushes a partial
-  // gather) has no earlier members to disturb it and no later members to
-  // inform: skip the disturbance bookkeeping entirely.
-  DSM_PROF_SCOPE(kBatchResolve);
-  BatchScope scope;
-  BatchScope* const sp = n > 1 ? &scope : nullptr;
-  Cycle t = now;
-  for (std::size_t i = 0; i < n; ++i) {
-    const NodeId node = reqs[i].node;
-    Node& me = nodes_[node];
-    const Addr line = lines[i];
-    mem::Cache::LineRef w1 = w1s[i];
-    if (sp && sp->l1_stale(node, me.l1.set_of(line))) w1 = me.l1.lookup(line);
-    const mem::Cache::FillCursor* hint = nullptr;
-    if (staged_c2[i]) {
-      const bool stale =
-          sp != nullptr &&
-          (c2s[i].ref ? sp->l2_ref_stale(node, me.l2.set_of(line))
-                      : sp->l2_cursor_stale(node, me.l2.set_of(line)));
-      if (!stale) hint = &c2s[i];
-      else obs_.batch_degrade.inc();
-    }
-    outs[i] = AccessOutcome{};
-    do_access(node, line, reqs[i].write, t, outs[i], w1, hint, sp);
-    if (advance) {
-      const Cycle next = advance(ctx, i, outs[i]);
-      if (next == kBatchStop) return i + 1;
-      t = next;
-    }
-  }
-  return n;
-}
-
-void CoherenceFabric::do_access(NodeId node, Addr line, bool is_write,
-                                Cycle now, AccessOutcome& out,
-                                mem::Cache::LineRef w1,
-                                const mem::Cache::FillCursor* l2_cursor,
-                                BatchScope* scope) {
-  DSM_PROF_SCOPE(kDoAccess);
-  Node& me = nodes_[node];
-  out.write = is_write;
-  out.home = home_map_->home_of(line, node);
-  if (is_write) ++me.stats.stores; else ++me.stats.loads;
-
-  // ---- L1: one tag walk (done by the caller), reused below ----
   const LineState s1 = me.l1.state_of(w1);
   if (s1 != LineState::kInvalid) {
     if (!is_write || store_permitted(*pol_, s1)) {
@@ -269,7 +130,7 @@ void CoherenceFabric::do_access(NodeId node, Addr line, bool is_write,
       out.l1_hit = true;
       out.latency = cfg_.l1.latency_cycles;
       out.source = DataSource::kL1;
-      return;
+      return out;
     }
     // L1 hit in S but we need write permission: fall through to the
     // directory upgrade path. Count the tag probe, not a hit.
@@ -281,9 +142,8 @@ void CoherenceFabric::do_access(NodeId node, Addr line, bool is_write,
 
   // ---- L2: ONE fused walk answers presence, fill way, and predicted
   // victim (lookup_for_fill) — the refill path below never re-walks the
-  // set. A batch caller may hand the walk in pre-staged.
-  const mem::Cache::FillCursor c2 =
-      l2_cursor ? *l2_cursor : me.l2.lookup_for_fill(line);
+  // set.
+  const mem::Cache::FillCursor c2 = me.l2.lookup_for_fill(line);
   const mem::Cache::LineRef w2 = c2.ref;
   const LineState s2 = me.l2.state_of(w2);
   const bool l2_has_data = (s2 != LineState::kInvalid);
@@ -291,7 +151,6 @@ void CoherenceFabric::do_access(NodeId node, Addr line, bool is_write,
   lat += cfg_.l2.latency_cycles;
   if (l2_has_data && (!is_write || l2_writable)) {
     me.l2.touch(w2);
-    if (scope) scope->note_l2_moved(node, me.l2.set_of(line));
     ++me.stats.l2_hits;
     LineState grant = s2;
     if (is_write) {
@@ -305,7 +164,6 @@ void CoherenceFabric::do_access(NodeId node, Addr line, bool is_write,
       me.l1.set_state(w1, grant);
     } else {
       const auto v1 = me.l1.fill(line, grant);
-      if (scope) scope->note_l1(node, me.l1.set_of(line));
       if (v1 && v1->state == LineState::kModified) {
         const mem::Cache::LineRef wv = me.l2.lookup(v1->line_addr);
         DSM_ASSERT_MSG(wv, "L1/L2 inclusion broken");
@@ -314,23 +172,20 @@ void CoherenceFabric::do_access(NodeId node, Addr line, bool is_write,
     }
     out.latency = lat;
     out.source = DataSource::kL2;
-    return;
+    return out;
   }
   if (l2_has_data) {
     me.l2.touch(w2);  // S-upgrade: data present, touch LRU
-    if (scope) scope->note_l2_moved(node, me.l2.set_of(line));
-  } else if (!scope && c2.victim_line != mem::Cache::FillCursor::kNoLine) {
+  } else if (c2.victim_line != mem::Cache::FillCursor::kNoLine) {
     // True miss: the fill below will displace the predicted victim, whose
     // home-directory slot the up-front prefetch did not cover. Warm it
     // now, while the directory round-trip below hides the host latency.
-    // (Batch stage 1 already issued this hint for staged misses.)
     const NodeId vh = home_map_->peek_home(c2.victim_line);
     if (vh != kNoNode) nodes_[vh].dir.prefetch(c2.victim_line);
   }
 
   // ---- Directory ----
-  // Trace only the miss path: L1/L2 hit arms stay event-free so serial,
-  // fast-path, and batched executions record identical sequences.
+  // Trace only the miss path: L1/L2 hit arms stay event-free.
   if (trace_ != nullptr) {
     obs::TraceEvent ev;
     ev.ts = now;
@@ -341,8 +196,7 @@ void CoherenceFabric::do_access(NodeId node, Addr line, bool is_write,
     ev.aux = out.home;
     trace_->record(ev);
   }
-  lat += directory_request(node, line, is_write, now + lat, out, w1, c2,
-                           scope);
+  lat += directory_request(node, line, is_write, now + lat, out, w1, c2);
   out.latency = lat;
   if (trace_ != nullptr) {
     obs::TraceEvent ev;
@@ -357,14 +211,14 @@ void CoherenceFabric::do_access(NodeId node, Addr line, bool is_write,
     ev.aux = out.home;
     trace_->record(ev);
   }
+  return out;
 }
 
 Cycle CoherenceFabric::directory_request(NodeId requestor, Addr line,
                                          bool is_write, Cycle now,
                                          AccessOutcome& out,
                                          mem::Cache::LineRef l1_ref,
-                                         const mem::Cache::FillCursor& l2_cursor,
-                                         BatchScope* scope) {
+                                         const mem::Cache::FillCursor& l2_cursor) {
   DSM_PROF_SCOPE(kDirRequest);
   Node& me = nodes_[requestor];
   const mem::Cache::LineRef l2_ref = l2_cursor.ref;
@@ -436,10 +290,6 @@ Cycle CoherenceFabric::directory_request(NodeId requestor, Addr line,
                                                  TrafficClass::kCoherence);
               nodes_[q].l1.invalidate(line);
               nodes_[q].l2.invalidate(line);
-              if (scope) {
-                scope->note_l1(q, nodes_[q].l1.set_of(line));
-                scope->note_l2(q, nodes_[q].l2.set_of(line));
-              }
               t += network_.message_latency(q, home, control_bytes(),
                                             now + lat + t,
                                             TrafficClass::kCoherence);
@@ -514,10 +364,6 @@ Cycle CoherenceFabric::directory_request(NodeId requestor, Addr line,
       if (is_write) {
         owner.l1.invalidate(ow1);
         owner.l2.invalidate(ow2);
-        if (scope) {
-          scope->note_l1(q, owner.l1.set_of(line));
-          scope->note_l2(q, owner.l2.set_of(line));
-        }
         ++me.stats.invalidations_sent;
         ++out.invalidations;
         e.sharers = 0;
@@ -577,10 +423,6 @@ Cycle CoherenceFabric::directory_request(NodeId requestor, Addr line,
                                                  TrafficClass::kCoherence);
               nodes_[s].l1.invalidate(line);
               nodes_[s].l2.invalidate(line);
-              if (scope) {
-                scope->note_l1(s, nodes_[s].l1.set_of(line));
-                scope->note_l2(s, nodes_[s].l2.set_of(line));
-              }
               t += network_.message_latency(s, home, control_bytes(),
                                             now + lat + t,
                                             TrafficClass::kCoherence);
@@ -660,7 +502,6 @@ Cycle CoherenceFabric::directory_request(NodeId requestor, Addr line,
       me.l1.touch(l1_ref);
     } else {
       const auto v1 = me.l1.fill(line, LineState::kModified);
-      if (scope) scope->note_l1(requestor, me.l1.set_of(line));
       if (v1 && v1->state == LineState::kModified) {
         const mem::Cache::LineRef wv = me.l2.lookup(v1->line_addr);
         DSM_ASSERT(wv);
@@ -668,29 +509,26 @@ Cycle CoherenceFabric::directory_request(NodeId requestor, Addr line,
       }
     }
   } else {
-    lat += fill_hierarchy(requestor, line, grant, now + lat, l2_cursor, scope);
+    lat += fill_hierarchy(requestor, line, grant, now + lat, l2_cursor);
   }
   return lat;
 }
 
 Cycle CoherenceFabric::fill_hierarchy(NodeId requestor, Addr line, LineState st,
                                       Cycle now,
-                                      const mem::Cache::FillCursor& l2_cursor,
-                                      BatchScope* scope) {
+                                      const mem::Cache::FillCursor& l2_cursor) {
   DSM_PROF_SCOPE(kFill);
   Node& me = nodes_[requestor];
   Cycle lat = 0;
-  // The L2 allocation reuses the miss cursor from do_access's fused walk
+  // The L2 allocation reuses the miss cursor from access()'s fused walk
   // (fill_at asserts its freshness), so the whole refill path pays ONE
   // associative search of the L2 set — the directory path in between
   // never mutates the requestor's caches. The L1 fill still walks its
   // (direct-mapped: walk-free) set.
   const auto v2 = me.l2.fill_at(l2_cursor, line, st);
   (v2 ? obs_.fill_with_victim : obs_.fill_no_victim).inc();
-  if (scope) scope->note_l2(requestor, me.l2.set_of(line));
-  if (v2) lat += handle_l2_eviction(requestor, *v2, now, scope);
+  if (v2) lat += handle_l2_eviction(requestor, *v2, now);
   const auto v1 = me.l1.fill(line, st);
-  if (scope) scope->note_l1(requestor, me.l1.set_of(line));
   if (v1 && v1->state == LineState::kModified) {
     const mem::Cache::LineRef wv = me.l2.lookup(v1->line_addr);
     DSM_ASSERT_MSG(wv, "L1/L2 inclusion broken");
@@ -700,11 +538,10 @@ Cycle CoherenceFabric::fill_hierarchy(NodeId requestor, Addr line, LineState st,
 }
 
 Cycle CoherenceFabric::handle_l2_eviction(NodeId evictor, const mem::Victim& v,
-                                          Cycle now, BatchScope* scope) {
+                                          Cycle now) {
   Node& me = nodes_[evictor];
   // Inclusion: purge the L1 copy; it may carry the dirty bit.
   const LineState l1_state = me.l1.invalidate(v.line_addr);
-  if (scope) scope->note_l1(evictor, me.l1.set_of(v.line_addr));
   const bool dirty = v.state == LineState::kModified ||
                      v.state == LineState::kOwned ||
                      l1_state == LineState::kModified;

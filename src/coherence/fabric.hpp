@@ -15,9 +15,7 @@
 // dirty (M, and MOESI's O) evictions pay the full writeback path.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "coherence/directory.hpp"
@@ -73,72 +71,16 @@ class CoherenceFabric {
  public:
   /// `obs` (optional) attaches the observability layer: protocol-
   /// transition / fill / eviction counters, the directory probe-length
-  /// histogram, batch staging diagnostics (host-class), and the event
-  /// trace. Null — the default — leaves every handle null: the hot path
-  /// pays one predicted branch per site and nothing else. Counters and
-  /// trace events fire only at simulated-event sites, so their values
-  /// are identical across --threads/--shards/--batch.
+  /// histogram, and the event trace. Null — the default — leaves every
+  /// handle null: the hot path pays one predicted branch per site and
+  /// nothing else. Counters and trace events fire only at simulated-event
+  /// sites, so their values are identical across --threads/--shards.
   CoherenceFabric(const MachineConfig& cfg, net::Network& network,
                   mem::HomeMap& home_map, obs::Observability* obs = nullptr);
 
   /// Performs one committed load (is_write=false) or store (is_write=true)
   /// by `node` at local time `now`.
   AccessOutcome access(NodeId node, Addr addr, bool is_write, Cycle now);
-
-  /// Serial fast path for batching callers: if the access L1-hits with
-  /// sufficient permission, completes it exactly as access() would
-  /// (stats, LRU touch, silent store-hit upgrade, outcome) and returns
-  /// true; otherwise returns false with NO simulated side effects. Lets
-  /// a gatherer serve hit runs inline — where batching buys nothing,
-  /// since the stage-1 prefetch overlap only pays on misses — and defer
-  /// only miss-adjacent runs into access_batch().
-  bool access_l1_fast(NodeId node, Addr addr, bool is_write,
-                      AccessOutcome& out);
-
-  /// One member of an access_batch() group.
-  struct AccessReq {
-    Addr addr = 0;
-    bool write = false;
-    NodeId node = 0;
-  };
-
-  /// Upper bound on one access_batch() group (all staging lives in stack
-  /// arrays of this size, preserving the zero-allocation steady state).
-  static constexpr std::size_t kMaxBatch = 64;
-
-  /// Sentinel an advance callback returns to stop the batch after the
-  /// member it was called for (e.g. the simulated thread must yield).
-  static constexpr Cycle kBatchStop = ~Cycle{0};
-
-  /// Called after each batch member completes, with its index and
-  /// outcome; returns the local time of the NEXT member, or kBatchStop to
-  /// end the batch early. This is how sim::Machine threads its per-access
-  /// clock/stall bookkeeping through a batch while keeping the simulated
-  /// sequence bit-identical to serial access() calls.
-  using BatchAdvanceFn = Cycle (*)(void* ctx, std::size_t index,
-                                   const AccessOutcome& out);
-
-  /// Batched, software-pipelined form of access(): processes up to
-  /// kMaxBatch requests in SoA stages. Stage 1 walks every member's
-  /// L1/L2 tag lanes (const — no LRU movement, no counters) and puts the
-  /// host-DRAM lines the resolution will need in flight: the L2 set
-  /// lanes, the home directory slot, and — for each predicted miss — the
-  /// predicted victim's home-directory slot. Stage 2/3 then resolve the
-  /// members strictly in order through the same directory/protocol/fill
-  /// code the serial path runs, reusing the staged walks when still
-  /// fresh (a per-set disturbance mask re-walks any set an earlier
-  /// member mutated, so same-line and same-set conflicts degrade to
-  /// ordered singles instead of going wrong). Simulated output —
-  /// outcomes, stats, LRU/tick order, directory state — is bit-identical
-  /// to issuing the same requests serially at the times the advance
-  /// callback reports. Without a callback all members run at `now`,
-  /// matching serial calls at a fixed clock. Returns how many members
-  /// completed (== reqs.size() unless the callback stopped early);
-  /// outs[i] is valid for exactly the completed members.
-  std::size_t access_batch(std::span<const AccessReq> reqs,
-                           std::span<AccessOutcome> outs, Cycle now,
-                           BatchAdvanceFn advance = nullptr,
-                           void* ctx = nullptr);
 
   mem::Cache& l1(NodeId n);
   mem::Cache& l2(NodeId n);
@@ -176,92 +118,26 @@ class CoherenceFabric {
     Node(const MachineConfig& cfg, NodeId id);
   };
 
-  /// Host-side set-disturbance masks for one access_batch() group: which
-  /// cache sets the members processed so far have mutated, per node, at
-  /// bit `set & 63` (aliasing is conservative — a false positive only
-  /// costs a re-walk). `l1`/`l2` record structural changes
-  /// (fill/invalidate), which stale any staged handle into the set;
-  /// `l2_moved` records pure LRU movement (touch), which stales only a
-  /// staged miss cursor's victim choice. Serial access() passes nullptr
-  /// and skips all bookkeeping.
-  ///
-  /// The per-node mask lanes are cleared LAZILY (the `*_nodes` bitmaps
-  /// say which lanes are live): most batches disturb nothing, and a
-  /// flush-forced short batch must not pay a 1.5KB memset up front —
-  /// construction touches three words, every operation is O(1).
-  struct BatchScope {
-    std::uint64_t l1[64];        ///< valid only where l1_nodes has the bit
-    std::uint64_t l2[64];        ///< valid only where l2_nodes has the bit
-    std::uint64_t l2_moved[64];  ///< valid only where l2_moved_nodes has it
-    std::uint64_t l1_nodes = 0;
-    std::uint64_t l2_nodes = 0;
-    std::uint64_t l2_moved_nodes = 0;
-    static std::uint64_t bit(std::uint64_t set) {
-      return std::uint64_t{1} << (set & 63);
-    }
-    static bool live(std::uint64_t nodes, NodeId n) {
-      return ((nodes >> n) & 1) != 0;
-    }
-    void note_l1(NodeId n, std::uint64_t set) {
-      if (!live(l1_nodes, n)) { l1_nodes |= std::uint64_t{1} << n; l1[n] = 0; }
-      l1[n] |= bit(set);
-    }
-    void note_l2(NodeId n, std::uint64_t set) {
-      if (!live(l2_nodes, n)) { l2_nodes |= std::uint64_t{1} << n; l2[n] = 0; }
-      l2[n] |= bit(set);
-    }
-    void note_l2_moved(NodeId n, std::uint64_t set) {
-      if (!live(l2_moved_nodes, n)) {
-        l2_moved_nodes |= std::uint64_t{1} << n;
-        l2_moved[n] = 0;
-      }
-      l2_moved[n] |= bit(set);
-    }
-    bool l1_stale(NodeId n, std::uint64_t set) const {
-      return live(l1_nodes, n) && (l1[n] & bit(set)) != 0;
-    }
-    bool l2_ref_stale(NodeId n, std::uint64_t set) const {
-      return live(l2_nodes, n) && (l2[n] & bit(set)) != 0;
-    }
-    bool l2_cursor_stale(NodeId n, std::uint64_t set) const {
-      const std::uint64_t m = (live(l2_nodes, n) ? l2[n] : 0) |
-                              (live(l2_moved_nodes, n) ? l2_moved[n] : 0);
-      return (m & bit(set)) != 0;
-    }
-  };
-
-  /// The access path shared by access() and access_batch(): everything
-  /// after the line computation and the up-front prefetch hints.
-  /// `l1_ref` is a fresh (or freshness-checked) L1 tag walk; `l2_cursor`
-  /// is an optional staged L2 fused walk (nullptr → walk here); `scope`
-  /// is the batch's disturbance mask, nullptr on the serial path.
-  void do_access(NodeId node, Addr line, bool is_write, Cycle now,
-                 AccessOutcome& out, mem::Cache::LineRef l1_ref,
-                 const mem::Cache::FillCursor* l2_cursor, BatchScope* scope);
-
   /// Serves a miss/upgrade at the directory; returns added latency.
   /// `l1_ref`/`l2_cursor` are the requestor's cached tag-walk results
-  /// from do_access() (l2_cursor.ref valid ⇔ the L2 holds the line, i.e.
+  /// from access() (l2_cursor.ref valid ⇔ the L2 holds the line, i.e.
   /// an upgrade; otherwise it carries the fill slot + predicted victim);
   /// they stay valid here because the directory path only mutates *other*
   /// nodes' caches before the local install.
   Cycle directory_request(NodeId requestor, Addr line, bool is_write,
                           Cycle now, AccessOutcome& out,
                           mem::Cache::LineRef l1_ref,
-                          const mem::Cache::FillCursor& l2_cursor,
-                          BatchScope* scope);
+                          const mem::Cache::FillCursor& l2_cursor);
 
   /// Installs `line` into requestor's L2+L1 with state `st`, handling
   /// inclusion victims and dirty writebacks. The L2 allocation reuses the
   /// miss cursor's fused victim scan — no second set walk. Returns added
   /// latency.
   Cycle fill_hierarchy(NodeId requestor, Addr line, mem::LineState st,
-                       Cycle now, const mem::Cache::FillCursor& l2_cursor,
-                       BatchScope* scope);
+                       Cycle now, const mem::Cache::FillCursor& l2_cursor);
 
   /// Handles an L2 victim: directory update + writeback if dirty.
-  Cycle handle_l2_eviction(NodeId evictor, const mem::Victim& v, Cycle now,
-                           BatchScope* scope);
+  Cycle handle_l2_eviction(NodeId evictor, const mem::Victim& v, Cycle now);
 
   unsigned control_bytes() const { return cfg_.network.control_bytes; }
   unsigned data_bytes() const { return cfg_.l2.line_bytes; }
@@ -277,10 +153,6 @@ class CoherenceFabric {
     // Cache victim/refill classes.
     obs::CounterHandle fill_with_victim, fill_no_victim;
     obs::CounterHandle evict_writeback, evict_clean;
-    // Host-class batch diagnostics ("host." prefix: excluded from the
-    // deterministic snapshot — their values depend on --batch).
-    obs::CounterHandle batch_groups, batch_members;
-    obs::CounterHandle batch_staged_miss, batch_degrade;
   };
 
   const MachineConfig& cfg_;

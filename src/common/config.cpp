@@ -50,8 +50,6 @@ std::string MachineConfig::validate() const {
     err << "control_bytes must be > 0; ";
   if (network.control_bytes > l2.line_bytes)
     err << "control message larger than a data line; ";
-  if (batch_size < 1 || batch_size > 64)
-    err << "batch_size must be in [1,64]; ";
   return err.str();
 }
 

@@ -164,13 +164,6 @@ struct MachineConfig {
   /// many cycles past the others before yielding (keeps local clocks in
   /// approximate lockstep for the contention models).
   Cycle scheduler_quantum_cycles = 20'000;
-  /// Host-side batching of the Machine→fabric boundary: consecutive
-  /// memory accesses of one simulated processor are gathered into groups
-  /// of up to this many and driven through CoherenceFabric::access_batch,
-  /// software-pipelining the tag-lane walks and directory probes. Pure
-  /// execution knob — simulated output is bit-identical for every value
-  /// (1 = the serial path). Capped at coh::CoherenceFabric::kMaxBatch.
-  unsigned batch_size = 1;
   std::uint64_t seed = 1;
 
   /// Cycles per nanosecond at the core clock.

@@ -36,29 +36,25 @@ std::vector<SpecPoint> SweepSpec::expand() const {
       thresholds.empty() ? std::vector<double>{0.0} : thresholds;
   const std::vector<std::string> proto_axis =
       protocols.empty() ? std::vector<std::string>{""} : protocols;
-  const std::vector<unsigned> batch_axis =
-      batches.empty() ? std::vector<unsigned>{0} : batches;
 
   std::vector<SpecPoint> points;
   points.reserve(apps_axis.size() * nodes_axis.size() * det_axis.size() *
-                 thr_axis.size() * proto_axis.size() * batch_axis.size());
+                 thr_axis.size() * proto_axis.size());
   for (const auto& a : apps_axis)
     for (const unsigned n : nodes_axis)
       for (const auto& d : det_axis)
         for (const double t : thr_axis)
-          for (const auto& pr : proto_axis)
-            for (const unsigned b : batch_axis) {
-              SpecPoint pt;
-              pt.app = a;
-              pt.nodes = n;
-              pt.detector = d;
-              pt.threshold = t;
-              pt.protocol = pr;
-              pt.batch = b;
-              pt.scale = scale;
-              pt.index = points.size();
-              points.push_back(std::move(pt));
-            }
+          for (const auto& pr : proto_axis) {
+            SpecPoint pt;
+            pt.app = a;
+            pt.nodes = n;
+            pt.detector = d;
+            pt.threshold = t;
+            pt.protocol = pr;
+            pt.scale = scale;
+            pt.index = points.size();
+            points.push_back(std::move(pt));
+          }
   return points;
 }
 
@@ -72,16 +68,9 @@ std::uint64_t spec_seed(const SpecPoint& pt) {
   static_assert(sizeof thr_bits == sizeof pt.threshold);
   std::memcpy(&thr_bits, &pt.threshold, sizeof thr_bits);
   fnv_bytes(h, &thr_bits, sizeof thr_bits);
-  // Hash the protocol/batch only when the sweep actually varies them, so
-  // every pre-axis point keeps its historical seed bit-for-bit. (For the
-  // batch axis this is also what makes the bit-identity demonstration
-  // honest: a swept batch value changes the seed, so equality of swept
-  // outputs is checked via batch_size as a plain flag knob instead.)
+  // Hash the protocol only when the sweep actually varies it, so every
+  // pre-axis point keeps its historical seed bit-for-bit.
   if (!pt.protocol.empty()) fnv_str(h, pt.protocol);
-  if (pt.batch != 0) {
-    const std::uint64_t b = pt.batch;
-    fnv_bytes(h, &b, sizeof b);
-  }
   const std::uint64_t scale = static_cast<std::uint64_t>(pt.scale);
   fnv_bytes(h, &scale, sizeof scale);
   // The simulator multiplies the seed before splitting per-processor
@@ -94,7 +83,6 @@ std::string spec_label(const SpecPoint& pt) {
   if (pt.nodes != 0) label += "/" + std::to_string(pt.nodes) + "p";
   if (!pt.detector.empty()) label += "/" + pt.detector;
   if (!pt.protocol.empty()) label += "/" + pt.protocol;
-  if (pt.batch != 0) label += "/b" + std::to_string(pt.batch);
   return label;
 }
 

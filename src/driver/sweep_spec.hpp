@@ -29,17 +29,12 @@ struct SpecPoint {
   /// MESI). Kept out of the seed and label when empty so pre-existing
   /// sweeps keep their exact seeds and output.
   std::string protocol;
-  /// Machine→fabric batch size (MachineConfig::batch_size); 0 when the
-  /// sweep does not vary it. Like `protocol`, kept out of the seed and
-  /// label when unswept — and since batching never changes simulated
-  /// output, sweeping it demonstrates bit-identity, point by point.
-  unsigned batch = 0;
   apps::Scale scale = apps::Scale::kBench;
   std::size_t index = 0; ///< position in spec order (set by expand())
 };
 
 /// Cartesian product over app × nodes × detector × threshold × protocol
-/// × batch at one scale. An empty axis contributes a single default
+/// at one scale. An empty axis contributes a single default
 /// element, so the product is never empty.
 struct SweepSpec {
   std::vector<std::string> apps;
@@ -47,21 +42,18 @@ struct SweepSpec {
   std::vector<std::string> detectors;
   std::vector<double> thresholds;
   std::vector<std::string> protocols;  ///< empty = protocol not swept
-  std::vector<unsigned> batches;       ///< empty = batch size not swept
   apps::Scale scale = apps::Scale::kBench;
 
   /// Enumerates the product app-major (then nodes, detector, threshold,
-  /// protocol, batch innermost), assigning each point its spec-order
-  /// index.
+  /// protocol innermost), assigning each point its spec-order index.
   std::vector<SpecPoint> expand() const;
 };
 
 /// Deterministic per-configuration RNG seed: FNV-1a over the point's
-/// content (app, nodes, detector, threshold, protocol, batch, scale).
+/// content (app, nodes, detector, threshold, protocol, scale).
 /// Independent of the point's position in the sweep, so inserting
 /// configurations never shifts the seeds of existing ones; a point with
-/// an empty protocol (or unswept batch) hashes exactly as it did before
-/// that axis existed.
+/// an empty protocol hashes exactly as it did before that axis existed.
 std::uint64_t spec_seed(const SpecPoint& pt);
 
 /// "LU/8p" style label for logs and error messages.

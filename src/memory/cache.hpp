@@ -143,12 +143,6 @@ class Cache {
   std::optional<Victim> fill_at(const FillCursor& cur, Addr addr,
                                 LineState s);
 
-  /// Set index of `addr`'s line — the granularity at which fills,
-  /// invalidations, and LRU touches invalidate outstanding LineRef /
-  /// FillCursor handles (the batched access path tracks disturbed sets
-  /// at exactly this granularity).
-  std::uint64_t set_of(Addr addr) const { return set_index(line_of(addr)); }
-
   /// Present-line state via a handle (kInvalid for a falsy handle).
   LineState state_of(LineRef ref) const {
     return ref ? states_[ref.idx_] : LineState::kInvalid;

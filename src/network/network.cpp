@@ -22,7 +22,7 @@ Network::Network(const MachineConfig& cfg, obs::Observability* obs)
     // One (msgs, bytes) counter pair per directed link, registered in
     // LinkId order — the route walk in message_latency indexes straight
     // into these lanes. Increments happen per simulated message, so the
-    // totals are deterministic across --threads/--shards/--batch.
+    // totals are deterministic across --threads/--shards.
     link_obs_ = true;
     const std::size_t nl = topo_.num_links();
     link_msgs_.reserve(nl);

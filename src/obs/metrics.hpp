@@ -9,11 +9,11 @@
 //
 // Determinism contract: counters are incremented only at *simulated-event*
 // sites (directory transitions, fills, evictions, link traversals), which
-// the fabric executes in the same order regardless of --threads/--shards/
-// --batch — so snapshot_json() is byte-identical across all of them.
-// Host-side diagnostics (batch restages, trace drops) register under the
-// reserved "host." prefix and are EXCLUDED from the deterministic
-// snapshot; read them with value() / host_json() instead.
+// the fabric executes in the same order regardless of --threads/--shards
+// — so snapshot_json() is byte-identical across all of them. Host-side
+// diagnostics register under the reserved "host." prefix and are
+// EXCLUDED from the deterministic snapshot; read them with value() /
+// host_json() instead.
 #pragma once
 
 #include <cstddef>
@@ -107,12 +107,12 @@ class MetricsRegistry {
   /// Deterministic JSON snapshot of every non-"host." metric, in
   /// registration order:
   ///   {"counters":{...},"histograms":{"name":[b0,...],...}}
-  /// Identical across --threads/--shards/--batch by the determinism
-  /// contract above.
+  /// Identical across --threads/--shards by the determinism contract
+  /// above.
   std::string snapshot_json() const;
 
   /// Host-side diagnostics ("host." prefix) as the same JSON shape.
-  /// NOT deterministic across batch; never merged into records.
+  /// Not deterministic; never merged into records.
   std::string host_json() const;
 
   /// Current value of a counter by name (0 if unregistered). Tests.
@@ -135,7 +135,7 @@ class MetricsRegistry {
   // row and re-baselines — zero allocation, O(tracked slots), executed
   // only at phase-detector interval boundaries (simulated-event sites),
   // so the captured timeline is byte-identical across
-  // --threads/--shards/--batch exactly like the end-of-run snapshot.
+  // --threads/--shards exactly like the end-of-run snapshot.
   // A full ring overwrites the oldest row and counts it as dropped
   // (trace-ring semantics). Histograms are cumulative-only: the interval
   // timeline tracks counters, the end-of-run snapshot keeps the

@@ -7,9 +7,7 @@ namespace dsm::obs {
 
 const char* prof_stage_name(ProfStage s) {
   switch (s) {
-    case ProfStage::kBatchStage1: return "batch_stage1";
-    case ProfStage::kBatchResolve: return "batch_resolve";
-    case ProfStage::kDoAccess: return "do_access";
+    case ProfStage::kAccess: return "access";
     case ProfStage::kDirRequest: return "dir_request";
     case ProfStage::kDirProbe: return "dir_probe";
     case ProfStage::kFill: return "fill_hierarchy";
@@ -44,9 +42,8 @@ void prof_reset() {
 
 std::string prof_report_text() {
   // Scopes nest (dir_probe and fill_hierarchy run inside dir_request,
-  // which runs inside do_access), so ticks are INCLUSIVE; the share
-  // column is each stage's fraction of the widest bracket it nests in —
-  // do_access for the serial path, the batch stages for batched drivers.
+  // which runs inside access), so ticks are INCLUSIVE; the share column
+  // is each stage's fraction of the widest bracket, access.
   std::uint64_t ticks[kProfStages];
   std::uint64_t calls[kProfStages];
   std::uint64_t top = 0;

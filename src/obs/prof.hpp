@@ -18,9 +18,7 @@
 namespace dsm::obs {
 
 enum class ProfStage : unsigned {
-  kBatchStage1,  ///< access_batch stage-1 walk + prefetch issue
-  kBatchResolve, ///< access_batch stage-2/3 in-order resolution loop
-  kDoAccess,     ///< do_access, whole body (L1/L2/miss path)
+  kAccess,       ///< CoherenceFabric::access, whole body
   kDirRequest,   ///< directory_request, whole body
   kDirProbe,     ///< Directory::entry probe (inside kDirRequest)
   kFill,         ///< fill_hierarchy (inside kDirRequest)

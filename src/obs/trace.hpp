@@ -1,6 +1,6 @@
 // trace.hpp — per-node binary event tracing: fixed-size preallocated ring
 // buffers of 32-byte POD events, recorded at simulated-event sites only
-// (so the sequence is identical across --threads/--shards/--batch),
+// (so the sequence is identical across --threads/--shards),
 // dumped post-run to a "DSMTRC01" binary file that `dsm_report trace`
 // converts to Chrome trace-event JSON.
 //

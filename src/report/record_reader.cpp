@@ -100,7 +100,9 @@ bool read_record(const std::string& line, RecordView* out,
   if (protocol && (!protocol->is_string() || protocol->string().empty()))
     return fail(error,
                 "metrics context field 'protocol' must be a non-empty string");
-  // Optional: present only when the sweep varies the batch size.
+  // Optional, and read by nothing: stores written while the simulator
+  // had a batch-size axis may carry it. Still validated so old stores
+  // keep parsing exactly as before and malformed ones keep failing.
   if (batch && (!batch->is_number() || batch->unsigned_int() == 0))
     return fail(error,
                 "metrics context field 'batch' must be a positive integer");
@@ -126,7 +128,6 @@ bool read_record(const std::string& line, RecordView* out,
   out->param = param->number();
   out->scale = scale->string();
   out->protocol = protocol ? protocol->string() : "mesi";
-  out->batch = batch ? static_cast<unsigned>(batch->unsigned_int()) : 1;
   // Move the metrics subtree out of the parsed root, which dies with this
   // call (cheap: the vectors inside move).
   out->metrics = std::move(*const_cast<JsonValue*>(metrics));

@@ -45,10 +45,6 @@ struct RecordView {
   /// across the protocol seam), and the reader fills in the machine
   /// default, "mesi".
   std::string protocol = "mesi";
-  /// SpecPoint::batch. Optional like protocol: present only when the
-  /// sweep varies the Machine→fabric batch size; absent means the serial
-  /// default, 1.
-  unsigned batch = 1;
 
   JsonValue metrics;        ///< the full metrics object (context + "m")
 

@@ -2,8 +2,7 @@
 // connections, failure detection, respawn, resume, and the spec-ordered
 // merged output stream.
 //
-// `--shards=N` routes here (replacing the static round-robin
-// orchestrator for fork-mode runs): the coordinator forks N pull workers
+// `--shards=N` routes here: the coordinator forks N pull workers
 // connected over socketpairs (`--pull=fd:3`), learns the sweep size from
 // the first hello, and grants contiguous spec-index leases to whichever
 // worker pulls next — heterogeneous config costs self-balance instead of

@@ -142,8 +142,8 @@ void HeartbeatEmitter::emit() {
   const std::string line = format_heartbeat(hb_);
   std::fwrite(line.data(), 1, line.size(), out_);
   std::fputc('\n', out_);
-  // Flush per record: the orchestrator and `dsm_report progress` read the
-  // file while the worker runs.
+  // Flush per record: `dsm_report progress` reads the file while the
+  // worker runs.
   std::fflush(out_);
 }
 

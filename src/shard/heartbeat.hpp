@@ -5,8 +5,8 @@
 // byte-identical across every execution mode, so progress can never ride
 // there. Instead each worker appends heartbeat records to its own NDJSON
 // file (one file per worker — no cross-process locking), flushed per
-// record so the orchestrator (or a human with `dsm_report progress`) can
-// watch a fleet drain while it runs. Heartbeats are host-side telemetry:
+// record so a human with `dsm_report progress` can watch a fleet drain
+// while it runs. Heartbeats are host-side telemetry:
 // they carry wall-clock and rusage and are *expected* to differ between
 // runs — which is exactly why they live outside the deterministic stream.
 //
@@ -17,10 +17,9 @@
 // point, -1 before any completes. A file's last line is the worker's
 // current state; earlier lines are its history.
 //
-// This file channel is the transport seam of the ROADMAP's elastic-fleet
-// item: a future TCP transport replaces "append to a file" with "write to
-// a socket" and everything upstream (parse_heartbeat, dsm_report
-// progress, the orchestrator's live display) is already in place.
+// Pull workers (pull_worker.hpp) send the same lines in-band over their
+// coordinator socket instead; the coordinator shows them live and tees
+// them to per-worker files in this format.
 #pragma once
 
 #include <cstdint>

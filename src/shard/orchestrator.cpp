@@ -1,15 +1,9 @@
 #include "shard/orchestrator.hpp"
 
-#include <fcntl.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 
-#include "shard/heartbeat.hpp"
-#include "shard/shard_plan.hpp"
 #include "shard/stream_sink.hpp"
 
 namespace dsm::shard {
@@ -60,59 +54,6 @@ bool advance(Head& h, std::string* error) {
   return true;
 }
 
-struct Worker {
-  pid_t pid = -1;
-  std::FILE* out = nullptr;
-};
-
-void report(const char* what) {
-  std::fprintf(stderr, "orchestrator: %s: %s\n", what, std::strerror(errno));
-}
-
-/// Live fleet progress from the workers' heartbeat files: the merge sink
-/// polls after every merged record (cheap — heartbeat files are a line
-/// per completed spec) and prints a stderr line whenever some worker's
-/// completed count advanced. stderr only, never stdout: the merged
-/// result stream must stay byte-identical with heartbeats on.
-class ProgressPoll {
- public:
-  explicit ProgressPoll(std::vector<std::string> files)
-      : files_(std::move(files)), last_done_(files_.size(), ~0ull) {}
-
-  bool enabled() const { return !files_.empty(); }
-
-  void poll() {
-    for (std::size_t i = 0; i < files_.size(); ++i) {
-      std::FILE* f = std::fopen(files_[i].c_str(), "r");
-      if (f == nullptr) continue;  // worker has not opened it yet
-      // Last line = the worker's current state.
-      std::string last;
-      {
-        FileLineSource src(f);
-        for (std::string line; src.next(line);) last = std::move(line);
-      }
-      std::fclose(f);
-      Heartbeat hb;
-      if (last.empty() || !parse_heartbeat(last, &hb)) continue;
-      if (hb.done == last_done_[i]) continue;
-      last_done_[i] = hb.done;
-      std::fprintf(stderr,
-                   "orchestrator: shard %s %llu/%llu done (last spec %lld, "
-                   "%llu ms, rss %llu KB)\n",
-                   hb.shard.c_str(),
-                   static_cast<unsigned long long>(hb.done),
-                   static_cast<unsigned long long>(hb.total),
-                   static_cast<long long>(hb.last_spec),
-                   static_cast<unsigned long long>(hb.wall_ms),
-                   static_cast<unsigned long long>(hb.maxrss_kb));
-    }
-  }
-
- private:
-  std::vector<std::string> files_;
-  std::vector<std::uint64_t> last_done_;
-};
-
 }  // namespace
 
 bool merge_streams(std::vector<LineSource*> sources,
@@ -154,133 +95,6 @@ std::string self_exe(const char* argv0) {
   const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
   if (n > 0) return std::string(buf, static_cast<std::size_t>(n));
   return argv0 ? argv0 : "";
-}
-
-int run_sharded(const OrchestratorOptions& opt, std::FILE* out) {
-  if (opt.shards < 1 || opt.shards > kMaxShards) {
-    std::fprintf(stderr, "orchestrator: bad shard count %u\n", opt.shards);
-    return 1;
-  }
-  if (!opt.heartbeat_files.empty() &&
-      opt.heartbeat_files.size() != opt.shards) {
-    std::fprintf(stderr,
-                 "orchestrator: %zu heartbeat files for %u shards\n",
-                 opt.heartbeat_files.size(), opt.shards);
-    return 1;
-  }
-
-  std::vector<Worker> workers(opt.shards);
-  for (unsigned i = 0; i < opt.shards; ++i) {
-    int fds[2];
-    // O_CLOEXEC: later-forked workers must not inherit earlier workers'
-    // pipe ends, or a worker blocked writing a full pipe would never see
-    // EPIPE/SIGPIPE when the orchestrator tears down after a merge error
-    // (the stray read ends would keep its pipe alive). The child's own
-    // write end survives exec because dup2 onto STDOUT clears the flag.
-    if (::pipe2(fds, O_CLOEXEC) != 0) {
-      report("pipe");
-      // Abandon cleanly: close the already-forked workers' pipes and reap.
-      for (auto& w : workers)
-        if (w.out) std::fclose(w.out);
-      for (auto& w : workers)
-        if (w.pid > 0) ::waitpid(w.pid, nullptr, 0);
-      return 1;
-    }
-    const ShardPlan plan{i, opt.shards};
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      // Child: stdout -> pipe, then become the shard worker. The argv
-      // strings live until execv; no allocation between fork and exec
-      // beyond the vector below (single-threaded child, safe).
-      ::dup2(fds[1], STDOUT_FILENO);
-      ::close(fds[0]);
-      ::close(fds[1]);
-      std::vector<char*> argv;
-      argv.push_back(const_cast<char*>(opt.binary.c_str()));
-      for (const auto& a : opt.args)
-        argv.push_back(const_cast<char*>(a.c_str()));
-      const std::string shard_flag = "--shard=" + plan.label();
-      argv.push_back(const_cast<char*>(shard_flag.c_str()));
-      std::string hb_flag;
-      if (!opt.heartbeat_files.empty()) {
-        hb_flag = "--heartbeat=" + opt.heartbeat_files[i];
-        argv.push_back(const_cast<char*>(hb_flag.c_str()));
-      }
-      argv.push_back(nullptr);
-      // execvp, not execv: when /proc/self/exe was unreadable the binary
-      // falls back to a bare argv[0], which only a PATH search resolves.
-      ::execvp(opt.binary.c_str(), argv.data());
-      report("execvp");
-      ::_exit(127);
-    }
-    ::close(fds[1]);
-    if (pid < 0) {
-      report("fork");
-      ::close(fds[0]);
-      for (auto& w : workers)
-        if (w.out) std::fclose(w.out);
-      for (auto& w : workers)
-        if (w.pid > 0) ::waitpid(w.pid, nullptr, 0);
-      return 1;
-    }
-    workers[i].pid = pid;
-    workers[i].out = ::fdopen(fds[0], "r");
-    if (workers[i].out == nullptr) {
-      report("fdopen");
-      ::close(fds[0]);
-      for (auto& w : workers)
-        if (w.out) std::fclose(w.out);
-      for (auto& w : workers)
-        if (w.pid > 0) ::waitpid(w.pid, nullptr, 0);
-      return 1;
-    }
-  }
-
-  std::vector<FileLineSource> file_sources;
-  file_sources.reserve(workers.size());
-  for (auto& w : workers) file_sources.emplace_back(w.out);
-  std::vector<LineSource*> sources;
-  for (auto& s : file_sources) sources.push_back(&s);
-
-  std::string error;
-  ProgressPoll progress(opt.heartbeat_files);
-  const bool merged = merge_streams(
-      sources,
-      [&](const std::string& line) {
-        std::fwrite(line.data(), 1, line.size(), out);
-        std::fputc('\n', out);
-        if (progress.enabled()) progress.poll();
-      },
-      &error);
-  if (progress.enabled()) progress.poll();  // final state after drain
-  std::fflush(out);
-
-  // Closing the pipes first makes a still-writing worker take SIGPIPE
-  // instead of blocking forever if the merge bailed early.
-  for (auto& w : workers) std::fclose(w.out);
-
-  int rc = 0;
-  for (unsigned i = 0; i < workers.size(); ++i) {
-    int status = 0;
-    ::waitpid(workers[i].pid, &status, 0);
-    if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
-      std::fprintf(stderr, "orchestrator: shard %u/%u exited with %d\n", i,
-                   opt.shards, WEXITSTATUS(status));
-      if (rc == 0) rc = WEXITSTATUS(status);
-    } else if (WIFSIGNALED(status) && !merged) {
-      // Expected teardown path after a merge error; keep the first
-      // diagnostic authoritative.
-    } else if (WIFSIGNALED(status)) {
-      std::fprintf(stderr, "orchestrator: shard %u/%u killed by signal %d\n",
-                   i, opt.shards, WTERMSIG(status));
-      if (rc == 0) rc = 1;
-    }
-  }
-  if (!merged) {
-    std::fprintf(stderr, "orchestrator: merge failed: %s\n", error.c_str());
-    if (rc == 0) rc = 1;
-  }
-  return rc;
 }
 
 }  // namespace dsm::shard

@@ -1,19 +1,15 @@
-// orchestrator.hpp — multi-process sharded sweeps: fork N workers of the
-// same binary with --shard=i/N, merge their NDJSON streams in spec order.
+// orchestrator.hpp — the spec-order merge of sharded record streams.
 //
-// The orchestrator never expands the spec itself — it relies on the
-// worker contract instead: each worker emits records for exactly its
-// congruence class of spec indices, in increasing order. The k-way merge
-// then must see the contiguous sequence 0,1,2,... of global spec indices;
-// a duplicate, gap, or out-of-order index means a worker violated the
-// shard plan and the merge fails loudly rather than emitting a stream
-// that silently differs from `--shards=1`. Merged lines are forwarded
-// verbatim (workers are the only formatting point), so a successful merge
-// is byte-identical to the single-process streamed run.
-//
-// Pipes are drained incrementally: the merge blocks only on the worker
-// that owns the next spec index, while the others run ahead at most a
-// pipe buffer of reduced records — workers never buffer whole sweeps.
+// The merge never expands the spec itself — it relies on the worker
+// contract instead: each shard emits records for exactly its congruence
+// class of spec indices, in increasing order. The k-way merge then must
+// see the contiguous sequence 0,1,2,... of global spec indices; a
+// duplicate, gap, or out-of-order index means a shard violated the plan
+// and the merge fails loudly rather than emitting a stream that silently
+// differs from `--shards=1`. Merged lines are forwarded verbatim (workers
+// are the only formatting point), so a successful merge is byte-identical
+// to the single-process streamed run. `dsm_report merge` runs it over
+// collected per-shard files.
 #pragma once
 
 #include <cstddef>
@@ -25,8 +21,7 @@
 namespace dsm::shard {
 
 /// One ordered stream of NDJSON record lines. next() returns false on end
-/// of stream. The process-backed implementation blocks until the worker
-/// produces its next record.
+/// of stream.
 class LineSource {
  public:
   virtual ~LineSource() = default;
@@ -38,10 +33,10 @@ class LineSource {
   virtual bool truncated() const { return false; }
 };
 
-/// Blocking line reader over a FILE* (a worker pipe, a collected shard
-/// file, or stdin). Does not own the stream. Shared by the in-process
-/// orchestrator and the offline `dsm_report` merge/render/validate paths —
-/// multi-host merging is the same k-way merge over file-backed sources.
+/// Blocking line reader over a FILE* (a collected shard file, a pipe, or
+/// stdin). Does not own the stream. The offline `dsm_report`
+/// merge/render/validate paths read through it — multi-host merging is
+/// the k-way merge below over file-backed sources.
 class FileLineSource : public LineSource {
  public:
   explicit FileLineSource(std::FILE* f) : f_(f) {}
@@ -79,27 +74,9 @@ bool merge_streams(std::vector<LineSource*> sources,
                    const std::function<void(const std::string&)>& sink,
                    std::string* error);
 
-struct OrchestratorOptions {
-  std::string binary;              ///< executable to re-invoke (self_exe())
-  std::vector<std::string> args;   ///< forwarded flags, minus --shards
-  unsigned shards = 1;             ///< workers to fork, in [1, kMaxShards]
-  /// Per-worker heartbeat file paths (heartbeat.hpp), one per shard, or
-  /// empty for no progress telemetry. The orchestrator appends
-  /// --heartbeat=<file i> to worker i's argv and, while merging, polls
-  /// the files and surfaces per-worker progress lines on stderr whenever
-  /// a worker's completed-spec count advances. Telemetry only — the
-  /// merged stdout stream is byte-identical with or without this.
-  std::vector<std::string> heartbeat_files;
-};
-
 /// Absolute path of the running executable (/proc/self/exe), falling back
-/// to argv0 — the orchestrator re-invokes itself, so plain "fig2" from
-/// PATH must still resolve.
+/// to argv0 — the fleet coordinator re-invokes itself, so plain "fig2"
+/// from PATH must still resolve.
 std::string self_exe(const char* argv0);
-
-/// Forks the workers, merges their streams onto `out`, reaps every child.
-/// Returns 0 on success; the first failing worker's exit code, or 1 on a
-/// merge/stream error, otherwise (diagnostics on stderr).
-int run_sharded(const OrchestratorOptions& opt, std::FILE* out);
 
 }  // namespace dsm::shard

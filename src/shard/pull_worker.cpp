@@ -44,8 +44,15 @@ PullWorker::PullWorker(const Endpoint& endpoint, std::string bench,
     return;
   }
   const auto msg = parse_fleet_msg(line);
+  if (msg && msg->type == FleetMsg::Type::kFin) {
+    // The sweep finished before the coordinator read this hello: a clean,
+    // empty finish — no lease will ever come, so no heartbeats either.
+    ok_ = true;
+    finished_ = true;
+    return;
+  }
   if (!msg || msg->type != FleetMsg::Type::kWelcome) {
-    std::fprintf(stderr, "pull worker: expected welcome, got: %s\n",
+    std::fprintf(stderr, "pull worker: expected welcome or fin, got: %s\n",
                  line.c_str());
     return;
   }
@@ -94,7 +101,7 @@ void PullWorker::beat() {
 std::optional<Lease> PullWorker::next_lease() {
   fault_ = FaultKind::kNone;
   fault_spec_ = 0;
-  if (!ok_ || lost_) return std::nullopt;
+  if (!ok_ || lost_ || finished_) return std::nullopt;
   if (!transport_->send_line(format_pull())) {
     lost_ = true;
     return std::nullopt;

@@ -40,8 +40,10 @@ constexpr int kFaultExitCode = 43;
 class PullWorker {
  public:
   /// Connects to `endpoint`, sends hello (bench + expanded sweep size),
-  /// and blocks for the welcome. ok() is false on connect/handshake
-  /// failure (diagnostic on stderr).
+  /// and blocks for the welcome. A fin in its place means the sweep
+  /// finished before the coordinator read the hello: ok() is true and
+  /// next_lease() returns nullopt at once. ok() is false on
+  /// connect/handshake failure (diagnostic on stderr).
   PullWorker(const Endpoint& endpoint, std::string bench, std::size_t total);
   ~PullWorker();
   PullWorker(const PullWorker&) = delete;
@@ -96,6 +98,7 @@ class PullWorker {
   std::uint64_t hb_interval_ms_ = 1000;
   bool ok_ = false;
   bool lost_ = false;
+  bool finished_ = false;  // fin came in place of welcome: no work
   FaultKind fault_ = FaultKind::kNone;
   std::size_t fault_spec_ = 0;
 

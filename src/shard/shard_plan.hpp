@@ -21,8 +21,8 @@
 
 namespace dsm::shard {
 
-/// Processes forked per orchestrator invocation; anything past this is a
-/// typo, not a cluster.
+/// Shards (or fleet workers) per sweep; anything past this is a typo, not
+/// a cluster.
 constexpr unsigned kMaxShards = 256;
 
 struct ShardPlan {
@@ -48,7 +48,7 @@ struct ShardPlan {
 /// Returns nullopt on malformed input.
 std::optional<ShardPlan> parse_shard(const std::string& text);
 
-/// Validates the partition property the orchestrator relies on: across
+/// Validates the partition property the offline merge relies on: across
 /// the N shards of a `total`-point sweep, every spec index is selected by
 /// exactly one shard. Returns false (never aborts) so tests can probe it;
 /// structurally true for round-robin, but this is the checked contract a

@@ -235,8 +235,8 @@ void StreamSink::emit(const StreamRecord& r) {
   const std::string line = format_record(bench_, r);
   std::fwrite(line.data(), 1, line.size(), out_);
   std::fputc('\n', out_);
-  // Per-record flush: workers write into a pipe; the orchestrator merges
-  // while the sweep is still running.
+  // Per-record flush: a reader of the worker's stdout (a pipe, a file
+  // being watched) sees each record as soon as it completes.
   std::fflush(out_);
   ++emitted_;
 }

@@ -3,8 +3,8 @@
 //
 // A shard worker's entire stdout in stream mode is a sequence of these
 // lines, emitted in spec order (the driver's OrderedEmitter serializes
-// them) and flushed per record so the orchestrator can merge streams
-// while workers are still running. Record content is derived only from
+// them) and flushed per record so readers see results while workers are
+// still running. Record content is derived only from
 // the configuration's *content* (spec index, config key, seed, reduced
 // metrics — never wall-clock or worker identity), so the same point
 // produces byte-identical records in shard i/N and in an unsharded run;
@@ -20,12 +20,12 @@
 // `protocol` field (present only when the coherence-protocol axis is
 // swept; readers default it to "mesi") — optional precisely so every
 // pre-protocol v2 store still parses and byte-compares, no v3 needed.
-// Same precedent for the optional `batch` field (batch-size axis), the
-// optional `obs` object (the machine's deterministic observability
-// snapshot, present only under --obs-stats; see src/obs/metrics.hpp),
-// and the optional `obs_intervals` object (the phase-attributed interval
-// timeline, present only under --obs-intervals; rendered by
-// `dsm_report timeline`).
+// Same precedent for the optional `obs` object (the machine's
+// deterministic observability snapshot, present only under --obs-stats;
+// see src/obs/metrics.hpp) and the optional `obs_intervals` object (the
+// phase-attributed interval timeline, present only under --obs-intervals;
+// rendered by `dsm_report timeline`). Older stores may also carry a
+// `batch` field, which readers still accept and ignore.
 // The normative schema description lives in README.md, "NDJSON record
 // schema"; the strict offline validator is report/record_reader.hpp.
 #pragma once
@@ -40,8 +40,8 @@ namespace dsm::shard {
 
 /// What the worker knows about one completed configuration after the
 /// in-worker reducer ran. `metrics` is pre-serialized JSON-object text
-/// (use JsonObject) — the sink never re-encodes it, and the orchestrator
-/// forwards whole lines verbatim, so there is exactly one formatting
+/// (use JsonObject) — the sink never re-encodes it, and the coordinator
+/// and merge forward whole lines verbatim, so there is exactly one formatting
 /// point per record.
 struct StreamRecord {
   std::size_t spec_index = 0;  ///< global spec-order index
@@ -91,9 +91,9 @@ std::string json_escape(const std::string& s);
 std::string format_record(const std::string& bench, const StreamRecord& r);
 
 /// Parses a line produced by format_record. Strict — this is a private
-/// wire format between one binary's worker and orchestrator, not a
-/// general JSON reader. Returns nullopt (never throws) on anything else,
-/// which the orchestrator reports as a corrupt worker stream.
+/// wire format between one binary's workers and their coordinator or
+/// merge, not a general JSON reader. Returns nullopt (never throws) on
+/// anything else, which callers report as a corrupt worker stream.
 struct ParsedRecord {
   std::string bench;
   StreamRecord record;

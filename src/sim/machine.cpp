@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <span>
 
 #include "common/assert.hpp"
 #include "common/bitops.hpp"
@@ -59,9 +58,6 @@ Machine::Machine(const MachineConfig& cfg)
   for (unsigned i = 0; i < cfg_.num_nodes; ++i)
     lanes_.push_back(HotLane{procs_[i].get(), cores_[i].get(),
                              sched_.cycle_slot(i), ddv_.observe_row(i)});
-  pending_.resize(cfg_.num_nodes);
-  batch_n_ = cfg_.batch_size;
-  DSM_ASSERT(batch_n_ >= 1 && batch_n_ <= coh::CoherenceFabric::kMaxBatch);
   if (cfg_.obs.intervals) {
     phase::Thresholds t;
     t.bbv = cfg_.obs.interval_bbv_threshold != 0
@@ -164,30 +160,6 @@ void Machine::end_interval(unsigned tid) {
 }
 
 void Machine::op_mem(unsigned tid, Addr addr, bool write) {
-  if (batch_n_ > 1) {
-    PendingMem& pd = pending_[tid];
-    // Hit fast path: with nothing pending, an L1 hit runs serially right
-    // now — order is trivially preserved, and batching buys a hit
-    // nothing (stage-1 prefetch overlap only pays on misses). Only
-    // miss-adjacent runs are deferred into access_batch().
-    if (pd.count == 0) {
-      coh::AccessOutcome out;
-      if (fabric_.access_l1_fast(tid, addr, write, out)) {
-        HotLane& ln = lanes_[tid];
-        ++ln.ddv_row[out.home];
-        const Cycle stall = ln.core->exposed_memory_stall(
-            out.latency, cfg_.l1.latency_cycles);
-        *ln.clock += stall;
-        ln.ps->mem_stall_cycles += stall;
-        count_instr(tid, 1);
-        maybe_yield(tid);
-        return;
-      }
-    }
-    pd.reqs[pd.count++] = {addr, write, static_cast<NodeId>(tid)};
-    if (pd.count >= batch_n_) drain_pending(tid);
-    return;
-  }
   HotLane& ln = lanes_[tid];
   const Cycle now = *ln.clock;
   const auto out = fabric_.access(tid, addr, write, now);
@@ -200,52 +172,8 @@ void Machine::op_mem(unsigned tid, Addr addr, bool write) {
   maybe_yield(tid);
 }
 
-Cycle Machine::batch_advance(void* ctx, std::size_t /*i*/,
-                             const coh::AccessOutcome& out) {
-  auto* bc = static_cast<BatchCtx*>(ctx);
-  Machine& m = *bc->m;
-  HotLane& ln = m.lanes_[bc->tid];
-  // op_mem's serial post-access sequence, verbatim. The member ran at
-  // *ln.clock (nothing else advances it mid-batch), so `now` is its
-  // access time exactly as in the serial path.
-  const Cycle now = *ln.clock;
-  ++ln.ddv_row[out.home];
-  const Cycle stall =
-      ln.core->exposed_memory_stall(out.latency, m.cfg_.l1.latency_cycles);
-  *ln.clock = now + stall;
-  ln.ps->mem_stall_cycles += stall;
-  m.count_instr(bc->tid, 1);
-  // maybe_yield, inlined so a yield can stop the batch: once another
-  // thread runs, staged tag walks for the remaining members may be
-  // stale, so they restage from live state in the next access_batch.
-  if (*ln.clock - ln.ps->last_yield >= m.cfg_.scheduler_quantum_cycles) {
-    m.sched_.yield(bc->tid);
-    ln.ps->last_yield = *ln.clock;
-    return coh::CoherenceFabric::kBatchStop;
-  }
-  return *ln.clock;
-}
-
-void Machine::drain_pending(unsigned tid) {
-  PendingMem& pd = pending_[tid];
-  coh::AccessOutcome outs[coh::CoherenceFabric::kMaxBatch];
-  while (pd.count != 0) {
-    BatchCtx bc{this, tid};
-    const std::size_t done = fabric_.access_batch(
-        std::span<const coh::CoherenceFabric::AccessReq>(pd.reqs.data(),
-                                                         pd.count),
-        std::span<coh::AccessOutcome>(outs, pd.count), *lanes_[tid].clock,
-        &Machine::batch_advance, &bc);
-    DSM_ASSERT(done >= 1 && done <= pd.count);
-    // A yield stopped the batch early: shift the rest down and restage.
-    for (std::size_t i = done; i < pd.count; ++i) pd.reqs[i - done] = pd.reqs[i];
-    pd.count -= done;
-  }
-}
-
 void Machine::op_compute(unsigned tid, InstrCount n, double fp_frac) {
   if (n == 0) return;
-  flush_mem(tid);
   HotLane& ln = lanes_[tid];
   const Cycle c = ln.core->compute_cycles(n, fp_frac);
   *ln.clock += c;
@@ -255,7 +183,6 @@ void Machine::op_compute(unsigned tid, InstrCount n, double fp_frac) {
 }
 
 void Machine::op_branch(unsigned tid, BlockId block, bool taken) {
-  flush_mem(tid);
   HotLane& ln = lanes_[tid];
   const Addr pc = (fnv1a64(block) << 2) | 0x400000ull;
   const Cycle c = 1 + ln.core->branch_cycles(pc, taken);
@@ -271,7 +198,6 @@ void Machine::op_branch(unsigned tid, BlockId block, bool taken) {
 }
 
 void Machine::op_barrier(unsigned tid) {
-  flush_mem(tid);
   HotLane& ln = lanes_[tid];
   const Cycle before = *ln.clock;
   global_barrier_.wait(tid);
@@ -295,7 +221,6 @@ RunSummary Machine::run(const AppFn& app) {
   sched_.run([this, &app](unsigned tid) {
     ThreadCtx ctx(*this, tid);
     app(ctx);
-    flush_mem(tid);  // an app may end on a deferred load/store
   });
 
   RunSummary sum;

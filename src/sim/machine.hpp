@@ -13,7 +13,6 @@
 // by default.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -62,13 +61,13 @@ struct RunSummary {
   std::vector<Cycle> branch_cycles;
   std::vector<Cycle> sync_cycles;
   /// Deterministic metrics snapshot (obs/metrics.hpp JSON), "" when
-  /// cfg.obs.stats was off. Identical across --threads/--shards/--batch.
+  /// cfg.obs.stats was off. Identical across --threads/--shards.
   std::string obs_json;
   /// Phase-attributed interval timeline (obs/metrics.hpp intervals_json),
   /// "" when cfg.obs.intervals was off. Every phase-detector interval
   /// boundary captures the machine-wide counter deltas since the previous
   /// boundary, tagged with the online-detected phase id — identical
-  /// across --threads/--shards/--batch like obs_json.
+  /// across --threads/--shards like obs_json.
   std::string obs_intervals_json;
 
   /// Aggregate CPI of processor p (cycles / instructions).
@@ -142,37 +141,6 @@ class Machine {
   void end_interval(unsigned tid);
   void maybe_yield(unsigned tid);
 
-  /// Deferred accesses of one processor, gathered by op_mem when
-  /// cfg_.batch_size > 1 and drained through fabric_.access_batch.
-  /// Deferral is invisible to the simulation: load/store return nothing,
-  /// every ThreadCtx operation that could observe machine state flushes
-  /// first, and the batch's advance callback replays op_mem's clock/
-  /// interval/yield bookkeeping per member at the exact serial times —
-  /// so the simulated sequence is bit-identical to batch_size=1.
-  struct PendingMem {
-    std::array<coh::CoherenceFabric::AccessReq,
-               coh::CoherenceFabric::kMaxBatch>
-        reqs;
-    std::size_t count = 0;
-  };
-  /// Drains tid's pending accesses (no-op when none). Called before any
-  /// operation that must observe their effects.
-  void flush_mem(unsigned tid) {
-    if (pending_[tid].count != 0) drain_pending(tid);
-  }
-  void drain_pending(unsigned tid);
-  /// access_batch advance callback: op_mem's post-access bookkeeping
-  /// (DDV row, exposed stall, clock, interval accounting, cooperative
-  /// yield) for one batch member. Returns the member-local clock, or
-  /// kBatchStop after a yield (other threads ran — the rest of the
-  /// batch restages from live cache state).
-  static Cycle batch_advance(void* ctx, std::size_t i,
-                             const coh::AccessOutcome& out);
-  struct BatchCtx {
-    Machine* m;
-    unsigned tid;
-  };
-
   MachineConfig cfg_;
   /// Constructed before network_/fabric_ so both can register their
   /// counters into it; registration order (links, then fabric hooks) is
@@ -190,14 +158,12 @@ class Machine {
   std::vector<std::unique_ptr<cpu::CoreModel>> cores_;
   std::vector<std::unique_ptr<ProcState>> procs_;
   std::vector<HotLane> lanes_;  ///< one per processor, see HotLane
-  std::vector<PendingMem> pending_;  ///< one per processor, see PendingMem
   /// Per-processor online detectors for phase-attributed interval capture
   /// (cfg.obs.intervals). classify() is pure w.r.t. simulated state —
   /// phase ids only label captured intervals and trace events, so the
   /// observability non-perturbation contract holds.
   std::vector<std::unique_ptr<phase::PhaseDetector>> obs_detectors_;
   InstrCount interval_len_;
-  unsigned batch_n_ = 1;  ///< cfg_.batch_size, hoisted for op_mem
   bool ran_ = false;
 };
 

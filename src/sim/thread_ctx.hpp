@@ -40,13 +40,7 @@ class ThreadCtx {
 
   NodeId self() const { return tid_; }
   unsigned nprocs() const { return m_->config().num_nodes; }
-  /// Local clock. Flushes deferred accesses first (batch_size > 1) so
-  /// the observed time includes every committed load/store — deferral
-  /// must never be visible to the app.
-  Cycle now() const {
-    m_->flush_mem(tid_);
-    return m_->scheduler().cycle(tid_);
-  }
+  Cycle now() const { return m_->scheduler().cycle(tid_); }
   const MachineConfig& config() const { return m_->config(); }
 
   // ---- committed instructions ----
@@ -67,53 +61,28 @@ class ThreadCtx {
   }
 
   // ---- synchronization (cycles, no instructions) ----
-  // Each flushes deferred accesses first: synchronization order must see
-  // (and be timed after) every load/store issued before it.
   void barrier() { m_->op_barrier(tid_); }
-  void lock(unsigned id) {
-    m_->flush_mem(tid_);
-    m_->lock_by_id(id).acquire(tid_);
-  }
-  void unlock(unsigned id) {
-    m_->flush_mem(tid_);
-    m_->lock_by_id(id).release(tid_);
-  }
+  void lock(unsigned id) { m_->lock_by_id(id).acquire(tid_); }
+  void unlock(unsigned id) { m_->lock_by_id(id).release(tid_); }
 
   /// Centralized task queue (single global queue; refill between barriers
   /// from one thread).
-  void refill_tasks(std::uint64_t total) {
-    m_->flush_mem(tid_);
-    m_->tasks_.refill(total);
-  }
-  std::optional<std::uint64_t> pop_task() {
-    m_->flush_mem(tid_);
-    return m_->tasks_.pop(tid_);
-  }
+  void refill_tasks(std::uint64_t total) { m_->tasks_.refill(total); }
+  std::optional<std::uint64_t> pop_task() { return m_->tasks_.pop(tid_); }
 
   // ---- memory management ----
-  Addr alloc(std::uint64_t bytes) {
-    m_->flush_mem(tid_);
-    return m_->allocator().alloc(bytes);
-  }
+  Addr alloc(std::uint64_t bytes) { return m_->allocator().alloc(bytes); }
   Addr alloc_on(std::uint64_t bytes, NodeId node) {
-    m_->flush_mem(tid_);
     return m_->allocator().alloc_on(bytes, node);
   }
   Addr alloc_distributed(std::uint64_t bytes, NodeId first = 0) {
-    m_->flush_mem(tid_);
     return m_->allocator().alloc_distributed(bytes, first);
   }
 
-  /// Deterministic per-processor random stream (independent of machine
-  /// state — no flush needed).
+  /// Deterministic per-processor random stream.
   Rng& rng() { return m_->procs_.at(tid_)->rng; }
 
-  /// Escape hatch to the machine; flushes so direct pokes observe every
-  /// access issued so far.
-  Machine& machine() {
-    m_->flush_mem(tid_);
-    return *m_;
-  }
+  Machine& machine() { return *m_; }
 
  private:
   Machine* m_;

@@ -118,57 +118,6 @@ TEST(FabricAllocTest, SteadyStateAccessPathIsAllocationFree) {
   fabric.check_invariants();
 }
 
-// Same invariant through access_batch: the staged stage-1 walk and the
-// disturbance masks live entirely in stack arrays, so the batched steady
-// state must be exactly as allocation-free as the serial one.
-TEST(FabricAllocTest, SteadyStateBatchedAccessPathIsAllocationFree) {
-  MachineConfig cfg = default_config(8);
-  cfg.l2.size_bytes = 64 * 1024;
-  net::Network network(cfg);
-  mem::HomeMap home_map(cfg.num_nodes, cfg.memory.page_bytes,
-                        mem::Placement::kRoundRobin);
-  CoherenceFabric fabric(cfg, network, home_map);
-
-  StreamGen gen{cfg.num_nodes, cfg.l2.line_bytes,
-                2 * cfg.l2.size_bytes / cfg.l2.line_bytes,
-                std::vector<std::uint64_t>(cfg.num_nodes, 0)};
-
-  struct Tick {
-    Cycle now = 0;
-  };
-  const auto advance = [](void* ctx, std::size_t,
-                          const AccessOutcome& out) -> Cycle {
-    auto* t = static_cast<Tick*>(ctx);
-    t->now += 4 + (out.latency >> 3);
-    return t->now;
-  };
-
-  constexpr std::size_t kBatch = 16;
-  CoherenceFabric::AccessReq reqs[kBatch];
-  AccessOutcome outs[kBatch];
-  Tick tick;
-  const auto run_batches = [&](std::uint64_t from, std::uint64_t to) {
-    for (std::uint64_t i = from; i < to; i += kBatch) {
-      for (std::size_t k = 0; k < kBatch; ++k) {
-        const auto a = gen.next(i + k);
-        reqs[k] = {a.addr, a.write, a.node};
-      }
-      const std::size_t done = fabric.access_batch(
-          std::span<const CoherenceFabric::AccessReq>(reqs, kBatch),
-          std::span<AccessOutcome>(outs, kBatch), tick.now, advance, &tick);
-      ASSERT_EQ(done, kBatch);
-    }
-  };
-
-  run_batches(0, 400'000);  // warm-up: directory slices reach high water
-
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-  run_batches(400'000, 600'000);
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), before);
-
-  fabric.check_invariants();
-}
-
 // The observability layer's zero-allocation contract: with metrics AND
 // tracing enabled, the steady-state access path still never touches the
 // heap. The registry preallocates every slot at construction; the trace

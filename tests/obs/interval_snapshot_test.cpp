@@ -2,9 +2,9 @@
 // (obs/metrics.hpp enable_intervals/end_interval) at two levels: the bare
 // registry ring (delta capture, re-baselining, overwrite-oldest wrap,
 // tail), and the Machine-level contract that the phase-attributed
-// timeline rides the same determinism guarantee as the end-of-run
-// snapshot — byte-identical across the batch axis for every protocol,
-// and exactly reconcilable against the snapshot when nothing dropped.
+// timeline is exactly reconcilable against the end-of-run snapshot when
+// nothing dropped, for every protocol. (Its byte-identity across
+// --threads/--shards is the bench/obs_equivalence ctest.)
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -116,32 +116,21 @@ TEST(IntervalRingTest, JsonEmptyBeforeEnableAndWellFormedAfter) {
 
 // ---- Machine-level contract ----
 
-sim::RunSummary run_with_intervals(Protocol protocol, unsigned batch) {
+sim::RunSummary run_with_intervals(Protocol protocol) {
   ObsConfig obs;
   obs.intervals = true;  // implies stats: the record carries both fields
   return bench::run_workload(apps::app_by_name("LU"), apps::Scale::kTest,
                              /*nodes=*/4, /*verbose=*/false, /*seed=*/0x0b5u,
-                             protocol, batch, obs);
+                             protocol, obs);
 }
 
 class IntervalDeterminismTest : public ::testing::TestWithParam<Protocol> {};
-
-// Batching regroups host-side work but must not move a simulated event,
-// and the interval boundaries themselves are simulated events — the
-// whole timeline is bit-identical between --batch=1 and --batch=4.
-TEST_P(IntervalDeterminismTest, TimelineIdenticalAcrossBatchSizes) {
-  const sim::RunSummary serial = run_with_intervals(GetParam(), 1);
-  const sim::RunSummary batched = run_with_intervals(GetParam(), 4);
-  ASSERT_FALSE(serial.obs_intervals_json.empty());
-  EXPECT_EQ(serial.obs_intervals_json, batched.obs_intervals_json);
-  EXPECT_EQ(serial.obs_json, batched.obs_json);
-}
 
 // Summed ring rows plus the open tail must equal the end-of-run snapshot
 // exactly for every tracked counter when nothing dropped — the property
 // `dsm_report timeline` re-checks offline on every record.
 TEST_P(IntervalDeterminismTest, RowsPlusTailReconcileWithSnapshot) {
-  const sim::RunSummary run = run_with_intervals(GetParam(), 1);
+  const sim::RunSummary run = run_with_intervals(GetParam());
 
   report::JsonValue iv, snap;
   std::string err;
@@ -174,7 +163,7 @@ TEST_P(IntervalDeterminismTest, RowsPlusTailReconcileWithSnapshot) {
 // The online detector attributes intervals to phases: a multi-phase app
 // must yield more than one distinct phase id in the timeline.
 TEST_P(IntervalDeterminismTest, TimelineCarriesDetectedPhases) {
-  const sim::RunSummary run = run_with_intervals(GetParam(), 1);
+  const sim::RunSummary run = run_with_intervals(GetParam());
   report::JsonValue iv;
   std::string err;
   ASSERT_TRUE(report::parse_json(run.obs_intervals_json, &iv, &err)) << err;
@@ -208,8 +197,7 @@ TEST(IntervalPerturbationTest, EnablingIntervalsDoesNotPerturbSimulation) {
     obs.intervals = intervals;
     sim::RunSummary run = bench::run_workload(
         apps::app_by_name("FMM"), apps::Scale::kTest, /*nodes=*/4,
-        /*verbose=*/false, /*seed=*/0x0b5u, Protocol::kMesi, /*batch=*/1,
-        obs);
+        /*verbose=*/false, /*seed=*/0x0b5u, Protocol::kMesi, obs);
     std::uint64_t instrs = 0, cycles = 0;
     for (unsigned p = 0; p < 4; ++p) {
       instrs += run.instructions[p];

@@ -62,25 +62,25 @@ TEST(MetricsTest, HistogramClampsIntoLastBucket) {
 }
 
 TEST(MetricsTest, HostMetricsAreExcludedFromTheDeterministicSnapshot) {
-  EXPECT_TRUE(is_host_metric("host.batch.groups"));
+  EXPECT_TRUE(is_host_metric("host.example"));
   EXPECT_FALSE(is_host_metric("coh.fill.no_victim"));
   EXPECT_FALSE(is_host_metric("net.host.msgs"));  // prefix, not substring
 
   MetricsRegistry reg;
   CounterHandle sim = reg.counter("coh.evict.clean");
-  CounterHandle host = reg.counter("host.batch.groups");
+  CounterHandle host = reg.counter("host.example");
   sim.inc();
   host.add(7);
 
   const std::string snap = reg.snapshot_json();
   EXPECT_NE(snap.find("coh.evict.clean"), std::string::npos);
-  EXPECT_EQ(snap.find("host.batch.groups"), std::string::npos);
+  EXPECT_EQ(snap.find("host.example"), std::string::npos);
 
   const std::string host_json = reg.host_json();
   EXPECT_EQ(host_json.find("coh.evict.clean"), std::string::npos);
-  EXPECT_NE(host_json.find("host.batch.groups"), std::string::npos);
+  EXPECT_NE(host_json.find("host.example"), std::string::npos);
   // The host view still reads the live slot.
-  EXPECT_EQ(reg.value("host.batch.groups"), 7u);
+  EXPECT_EQ(reg.value("host.example"), 7u);
 }
 
 // The snapshot is a byte-level artifact (it is spliced into NDJSON

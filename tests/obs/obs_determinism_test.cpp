@@ -1,7 +1,7 @@
 // obs_determinism_test.cpp — the observability layer's central promise,
 // regression-tested at the Machine level: the deterministic metrics
 // snapshot AND the per-node trace event sequences are bit-identical
-// across the batch axis and sensible across every protocol, because both
+// across repeat runs and sensible across every protocol, because both
 // are recorded only at simulated-event sites (misses, directory
 // transitions, evictions, phase boundaries) that execute in the same
 // order regardless of how the host schedules the work. The harness-level
@@ -26,7 +26,7 @@ struct ObsRun {
   obs::TraceFileData trace;  ///< parsed post-run dump
 };
 
-ObsRun run_with_obs(const char* app, Protocol protocol, unsigned batch,
+ObsRun run_with_obs(const char* app, Protocol protocol,
                     const std::string& trace_path) {
   ObsConfig obs;
   obs.stats = true;
@@ -36,7 +36,7 @@ ObsRun run_with_obs(const char* app, Protocol protocol, unsigned batch,
   sim::RunSummary run =
       bench::run_workload(apps::app_by_name(app), apps::Scale::kTest,
                           /*nodes=*/4, /*verbose=*/false, /*seed=*/0x0b5u,
-                          protocol, batch, obs);
+                          protocol, obs);
 
   ObsRun r;
   r.snapshot = std::move(run.obs_json);
@@ -66,39 +66,23 @@ void expect_identical_traces(const obs::TraceFileData& a,
 
 class ObsDeterminismTest : public ::testing::TestWithParam<Protocol> {};
 
-// Batching regroups the host-side work (stage-1 walks, prefetch, staged
-// hints) but must not move a single simulated event: snapshot and traces
-// from --batch=1 and --batch=4 are bit-identical.
-TEST_P(ObsDeterminismTest, SnapshotAndTraceIdenticalAcrossBatchSizes) {
-  const Protocol protocol = GetParam();
-  const std::string dir = ::testing::TempDir();
-  const ObsRun serial =
-      run_with_obs("LU", protocol, /*batch=*/1, dir + "obs_det_b1.trace");
-  const ObsRun batched =
-      run_with_obs("LU", protocol, /*batch=*/4, dir + "obs_det_b4.trace");
-
-  ASSERT_FALSE(serial.snapshot.empty());
-  EXPECT_EQ(serial.snapshot, batched.snapshot);
-  // The deterministic snapshot carries the coherence and network lanes
-  // but never the "host." diagnostics batching legitimately perturbs.
-  EXPECT_NE(serial.snapshot.find("coh.trans."), std::string::npos);
-  EXPECT_NE(serial.snapshot.find("net.link"), std::string::npos);
-  EXPECT_NE(serial.snapshot.find("dir.probe_len"), std::string::npos);
-  EXPECT_EQ(serial.snapshot.find("host."), std::string::npos);
-
-  expect_identical_traces(serial.trace, batched.trace);
-}
-
 // Re-running the same configuration must reproduce the same snapshot and
 // trace byte-for-byte — the property that lets CI compare runs at all.
 TEST_P(ObsDeterminismTest, RepeatRunsAreBitIdentical) {
   const Protocol protocol = GetParam();
   const std::string dir = ::testing::TempDir();
-  const ObsRun one =
-      run_with_obs("LU", protocol, /*batch=*/2, dir + "obs_det_r1.trace");
-  const ObsRun two =
-      run_with_obs("LU", protocol, /*batch=*/2, dir + "obs_det_r2.trace");
+  const ObsRun one = run_with_obs("LU", protocol, dir + "obs_det_r1.trace");
+  const ObsRun two = run_with_obs("LU", protocol, dir + "obs_det_r2.trace");
+
+  ASSERT_FALSE(one.snapshot.empty());
   EXPECT_EQ(one.snapshot, two.snapshot);
+  // The deterministic snapshot carries the coherence and network lanes
+  // but never a "host." diagnostic.
+  EXPECT_NE(one.snapshot.find("coh.trans."), std::string::npos);
+  EXPECT_NE(one.snapshot.find("net.link"), std::string::npos);
+  EXPECT_NE(one.snapshot.find("dir.probe_len"), std::string::npos);
+  EXPECT_EQ(one.snapshot.find("host."), std::string::npos);
+
   expect_identical_traces(one.trace, two.trace);
 }
 
@@ -120,8 +104,7 @@ TEST(ObsDeterminismTest2, EnablingObservabilityDoesNotPerturbSimulation) {
   const auto run_sum = [](const ObsConfig& obs) {
     sim::RunSummary run = bench::run_workload(
         apps::app_by_name("LU"), apps::Scale::kTest, /*nodes=*/4,
-        /*verbose=*/false, /*seed=*/0x0b5u, Protocol::kMesi, /*batch=*/1,
-        obs);
+        /*verbose=*/false, /*seed=*/0x0b5u, Protocol::kMesi, obs);
     std::uint64_t instrs = 0, cycles = 0;
     for (unsigned p = 0; p < 4; ++p) {
       instrs += run.instructions[p];

@@ -81,6 +81,19 @@ TEST(ReadRecordTest, RoundTripsAllFields) {
   EXPECT_EQ(rec.m().at("count").unsigned_int(), 7u);
 }
 
+// Stores written while sweeps had a batch-size axis carry a "batch" field;
+// nothing reads it any more, but such stores must keep parsing.
+TEST(ReadRecordTest, AcceptsLegacyBatchField) {
+  RecordView rec;
+  std::string err;
+  EXPECT_TRUE(read_record(
+      R"({"v":2,"bench":"b","spec_index":0,"key":"LU/8p/b4","seed":"0x1",)"
+      R"("metrics":{"app":"LU","nodes":8,"variant":"","param":0,)"
+      R"("scale":"test","batch":4,"m":{}}})",
+      &rec, &err))
+      << err;
+}
+
 // Each malformed input is rejected with a diagnostic naming ITS failure —
 // not a generic "bad record".
 TEST(ReadRecordTest, DistinctDiagnosticsPerFailureMode) {
@@ -119,6 +132,11 @@ TEST(ReadRecordTest, DistinctDiagnosticsPerFailureMode) {
        R"("metrics":{"app":"LU","nodes":8,"variant":"","param":0,)"
        R"("scale":"test"}})",
        "missing object field 'm'"},
+      {"legacy batch field not positive",
+       R"({"v":2,"bench":"b","spec_index":0,"key":"k","seed":"0x1",)"
+       R"("metrics":{"app":"LU","nodes":8,"variant":"","param":0,)"
+       R"("scale":"test","batch":0,"m":{}}})",
+       "'batch' must be a positive integer"},
   };
   for (const auto& c : cases) {
     RecordView rec;

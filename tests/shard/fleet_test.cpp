@@ -2,15 +2,18 @@
 // with scripted in-process "workers" speaking the pull protocol over real
 // socketpairs: happy-path merge, worker death mid-sweep (byte-identical
 // recovery — the acceptance bar), duplicate-record discard, truncated
-// frames, resume-from-store leasing only the gaps, the lease ledger, and
-// the empty sweep. No forks, no sleeps: deaths are socket closes, and
-// the default 30 s heartbeat deadline never fires in a sub-second test.
+// frames, resume-from-store leasing only the gaps, the lease ledger, the
+// empty sweep, and a hello that arrives after the sweep is done. No forks,
+// no sleeps: deaths are socket closes, orderings are latches, and the
+// default 30 s heartbeat deadline never fires in a sub-second test.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <functional>
+#include <latch>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -18,6 +21,7 @@
 
 #include "shard/coordinator.hpp"
 #include "shard/fleet_msg.hpp"
+#include "shard/pull_worker.hpp"
 #include "shard/resume.hpp"
 #include "shard/stream_sink.hpp"
 #include "shard/transport.hpp"
@@ -53,7 +57,16 @@ struct WorkerScript {
   bool truncate_on_death = false;
   /// Send the first record of the first lease twice (a re-lease race).
   bool duplicate_first = false;
+  /// Wait on this latch before sending hello (sequences a late joiner).
+  std::latch* hello_gate = nullptr;
+  /// Count this latch down once fin arrives.
+  std::latch* fin_seen = nullptr;
 };
+
+bool is_fin(const std::string& line) {
+  const auto msg = parse_fleet_msg(line);
+  return msg && msg->type == FleetMsg::Type::kFin;
+}
 
 /// One scripted pull worker over an already-connected fd. Records every
 /// lease range it was granted into `leases` (under `mu`).
@@ -61,16 +74,18 @@ void run_worker(int fd, std::size_t total, const WorkerScript& script,
                 std::vector<Lease>* leases = nullptr,
                 std::mutex* mu = nullptr) {
   FdTransport t(fd);
+  if (script.hello_gate != nullptr) script.hello_gate->wait();
   if (!t.send_line(format_hello(kBench, total))) return;
   std::string line;
-  if (!t.recv_line(&line)) return;  // welcome
+  // welcome — or fin, when the sweep finished before our hello was read.
+  if (!t.recv_line(&line)) return;
   std::size_t emitted = 0;
   bool first_record = true;
-  for (;;) {
+  while (!is_fin(line)) {
     if (!t.send_line(format_pull())) return;
     if (!t.recv_line(&line)) return;
     const auto msg = parse_fleet_msg(line);
-    if (!msg || msg->type != FleetMsg::Type::kLease) return;  // fin
+    if (!msg || msg->type != FleetMsg::Type::kLease) break;  // fin
     if (leases != nullptr) {
       std::lock_guard<std::mutex> lock(*mu);
       leases->push_back({static_cast<std::size_t>(msg->lo),
@@ -89,26 +104,29 @@ void run_worker(int fd, std::size_t total, const WorkerScript& script,
       ++emitted;
     }
   }
+  if (script.fin_seen != nullptr && is_fin(line))
+    script.fin_seen->count_down();
 }
 
-/// Spawns `scripts.size()` scripted workers, runs the fleet against
-/// them, and returns {exit code, merged stdout bytes}.
+/// What a fleet run returned: {exit code, merged stdout bytes}.
 struct FleetRun {
   int rc = -1;
   std::string output;
 };
 
-FleetRun run_scripted_fleet(std::size_t total,
-                            const std::vector<WorkerScript>& scripts,
-                            FleetOptions opt = {}) {
+/// The worker end of one socketpair, run on its own thread.
+using WorkerFn = std::function<void(int fd)>;
+
+/// Runs the fleet against one thread per entry of `workers`.
+FleetRun run_fleet_with(const std::vector<WorkerFn>& workers,
+                        FleetOptions opt = {}) {
   std::vector<std::thread> threads;
-  opt.workers = static_cast<unsigned>(scripts.size());
-  for (const auto& script : scripts) {
+  opt.workers = static_cast<unsigned>(workers.size());
+  for (const auto& worker : workers) {
     int sv[2];
     EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
     opt.preconnected_fds.push_back(sv[0]);
-    threads.emplace_back(
-        [fd = sv[1], total, script] { run_worker(fd, total, script); });
+    threads.emplace_back([fd = sv[1], worker] { worker(fd); });
   }
   FleetRun result;
   std::FILE* out = std::tmpfile();
@@ -122,6 +140,17 @@ FleetRun run_scripted_fleet(std::size_t total,
     result.output.append(buf, n);
   std::fclose(out);
   return result;
+}
+
+/// Runs the fleet against one scripted worker per entry of `scripts`.
+FleetRun run_scripted_fleet(std::size_t total,
+                            const std::vector<WorkerScript>& scripts,
+                            FleetOptions opt = {}) {
+  std::vector<WorkerFn> workers;
+  for (const auto& script : scripts)
+    workers.push_back(
+        [total, script](int fd) { run_worker(fd, total, script); });
+  return run_fleet_with(workers, std::move(opt));
 }
 
 TEST(FleetTest, MergesSpecOrderedOutputFromConcurrentWorkers) {
@@ -185,6 +214,42 @@ TEST(FleetTest, EmptySweepFinsEveryoneAndSucceeds) {
   EXPECT_TRUE(run.output.empty());
 }
 
+// An empty sweep is done on the first hello. A worker whose hello is read
+// only after that gets fin as its first line, in place of welcome, and
+// must take it as a clean, empty finish: answering it with a pull would
+// block both sides. The latch holds the second hello until the first
+// worker has read its fin.
+TEST(FleetTest, HelloAfterTheSweepFinishedIsAnsweredWithFin) {
+  std::latch first_fin(1);
+  WorkerScript first, late;
+  first.fin_seen = &first_fin;
+  late.hello_gate = &first_fin;
+  const auto run = run_scripted_fleet(0, {first, late});
+  EXPECT_EQ(run.rc, 0);
+  EXPECT_TRUE(run.output.empty());
+}
+
+// The same ordering against the real worker loop.
+TEST(FleetTest, PullWorkerTakesFinInPlaceOfWelcomeAsACleanFinish) {
+  std::latch first_fin(1);
+  WorkerScript first;
+  first.fin_seen = &first_fin;
+  bool ok = false, leased = true, lost = true;
+  const auto run = run_fleet_with(
+      {[&](int fd) { run_worker(fd, 0, first); },
+       [&](int fd) {
+         first_fin.wait();
+         PullWorker worker(Endpoint{true, fd, {}, 0}, kBench, 0);
+         ok = worker.ok();
+         leased = worker.next_lease().has_value();
+         lost = worker.transport_lost();
+       }});
+  EXPECT_EQ(run.rc, 0);
+  EXPECT_TRUE(ok);
+  EXPECT_FALSE(leased);
+  EXPECT_FALSE(lost);
+}
+
 TEST(FleetTest, LeaseLogRecordsLeasedAndDoneEvents) {
   const std::string log_path = ::testing::TempDir() + "fleet_test_lease.log";
   std::remove(log_path.c_str());
@@ -230,31 +295,15 @@ TEST(FleetTest, ResumeLeasesOnlyTheGapsAndCompletesTheStore) {
     std::fclose(f);
   }
 
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   std::vector<Lease> leases;
   std::mutex mu;
-  std::thread worker([&, fd = sv[1]] {
-    run_worker(fd, 6, WorkerScript{}, &leases, &mu);
-  });
-
   FleetOptions opt;
-  opt.workers = 1;
-  opt.preconnected_fds.push_back(sv[0]);
   opt.resume_store = store;
-  std::FILE* out = std::tmpfile();
-  ASSERT_NE(out, nullptr);
-  const int rc = run_fleet(opt, out);
-  worker.join();
-  EXPECT_EQ(rc, 0);
-
-  std::rewind(out);
-  std::string merged;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, out)) > 0) merged.append(buf, n);
-  std::fclose(out);
-  EXPECT_EQ(merged, expected_output(6));
+  const auto run = run_fleet_with(
+      {[&](int fd) { run_worker(fd, 6, WorkerScript{}, &leases, &mu); }},
+      opt);
+  EXPECT_EQ(run.rc, 0);
+  EXPECT_EQ(run.output, expected_output(6));
 
   // The worker must never have been leased a recovered index.
   for (const auto& l : leases)

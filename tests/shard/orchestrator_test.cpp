@@ -116,50 +116,5 @@ TEST(SelfExeTest, ResolvesToARunnableBinary) {
   EXPECT_NE(path.find("orchestrator_test"), std::string::npos);
 }
 
-// Process-level paths (fork/exec/pipe/waitpid) against tiny system
-// binaries: a worker that exits cleanly with an empty stream, a failing
-// worker whose status must propagate, and a worker whose output is not a
-// record stream.
-TEST(RunShardedTest, EmptyWorkerStreamsSucceed) {
-  OrchestratorOptions o;
-  o.binary = "/bin/true";
-  o.shards = 2;
-  std::FILE* out = std::tmpfile();
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(run_sharded(o, out), 0);
-  EXPECT_EQ(std::ftell(out), 0L);  // nothing merged
-  std::fclose(out);
-}
-
-TEST(RunShardedTest, FailingWorkerExitCodePropagates) {
-  OrchestratorOptions o;
-  o.binary = "/bin/false";
-  o.shards = 2;
-  std::FILE* out = std::tmpfile();
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(run_sharded(o, out), 1);
-  std::fclose(out);
-}
-
-TEST(RunShardedTest, MissingBinaryFails) {
-  OrchestratorOptions o;
-  o.binary = "/nonexistent/binary";
-  o.shards = 1;
-  std::FILE* out = std::tmpfile();
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(run_sharded(o, out), 127);  // execv failure convention
-  std::fclose(out);
-}
-
-TEST(RunShardedTest, NonRecordWorkerOutputFails) {
-  OrchestratorOptions o;
-  o.binary = "/bin/echo";  // echoes "--shard=0/1": not a stream record
-  o.shards = 1;
-  std::FILE* out = std::tmpfile();
-  ASSERT_NE(out, nullptr);
-  EXPECT_NE(run_sharded(o, out), 0);
-  std::fclose(out);
-}
-
 }  // namespace
 }  // namespace dsm::shard

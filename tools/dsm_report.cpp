@@ -4,9 +4,8 @@
 // lines.
 //
 //   dsm_report merge s0.ndjson s1.ndjson ... > merged.ndjson
-//       K-way merge of per-shard record files in spec order — the same
-//       merge_streams the in-process `--shards=N` orchestrator runs over
-//       worker pipes, so the output is byte-identical to a single-host
+//       K-way merge of per-shard record files in spec order
+//       (shard::merge_streams), byte-identical to a single-host
 //       `--shards=N` (and `--shard=0/1`) stream. Fails loudly on gaps,
 //       duplicates, mixed benches, or unparsable lines.
 //
