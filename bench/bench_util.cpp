@@ -75,10 +75,8 @@ const char* usage_text() {
       "  --lease-timeout-ms=N       heartbeat deadline before a leased\n"
       "                             worker is declared dead (default 30000)\n"
       "  --hb-interval-ms=N         worker heartbeat cadence (default 1000)\n"
-      "  --max-respawns=N           respawns per dead worker slot (def. 3)\n"
       "  --backoff-ms=N             respawn backoff base, doubled per\n"
       "                             attempt (default 250, capped at 8000)\n"
-      "  --lease-chunk=N            spec indices per lease (default: auto)\n"
       "  --obs-stats                attach each machine's deterministic\n"
       "                             metrics snapshot to its record (the\n"
       "                             envelope's \"obs\" field; view with\n"
@@ -203,12 +201,6 @@ ParseResult parse_options(int argc, char** argv) {
       if (!parse_unsigned(v, 1, 3600000, ms))
         return fail(std::move(res), "bad --hb-interval-ms value: " + v);
       opt.tuning.heartbeat_interval_ms = ms;
-    } else if (arg.rfind("--max-respawns=", 0) == 0) {
-      const std::string v = value("--max-respawns=");
-      unsigned long n = 0;
-      if (!parse_unsigned(v, 0, 100, n))
-        return fail(std::move(res), "bad --max-respawns value: " + v);
-      opt.tuning.max_respawns = static_cast<unsigned>(n);
     } else if (arg.rfind("--backoff-ms=", 0) == 0) {
       const std::string v = value("--backoff-ms=");
       unsigned long ms = 0;
@@ -216,12 +208,6 @@ ParseResult parse_options(int argc, char** argv) {
         return fail(std::move(res), "bad --backoff-ms value: " + v);
       opt.tuning.backoff_base_ms = ms;
       if (opt.tuning.backoff_max_ms < ms) opt.tuning.backoff_max_ms = ms;
-    } else if (arg.rfind("--lease-chunk=", 0) == 0) {
-      const std::string v = value("--lease-chunk=");
-      unsigned long n = 0;
-      if (!parse_unsigned(v, 1, 65536, n))
-        return fail(std::move(res), "bad --lease-chunk value: " + v);
-      opt.tuning.lease_chunk = static_cast<std::size_t>(n);
     } else if (arg.rfind("--csv=", 0) == 0) {
       opt.csv_dir = value("--csv=");
     } else if (arg == "--obs-stats") {
@@ -290,10 +276,9 @@ std::optional<int> maybe_orchestrate(int argc, char** argv,
   // appends per spawn. (`--heartbeat` becomes per-worker socket
   // heartbeats the coordinator tees into FILE.<i> itself.)
   static const char* kCoordinatorOnly[] = {
-      "--shards=",          "--heartbeat=",      "--resume=",
-      "--lease-log=",       "--inject-fault=",   "--lease-timeout-ms=",
-      "--hb-interval-ms=",  "--max-respawns=",   "--backoff-ms=",
-      "--lease-chunk=",     "--listen=",
+      "--shards=",         "--heartbeat=",      "--resume=",
+      "--lease-log=",      "--inject-fault=",   "--lease-timeout-ms=",
+      "--hb-interval-ms=", "--backoff-ms=",     "--listen=",
   };
   for (int i = 1; i < argc; ++i) {
     bool skip = false;
@@ -404,38 +389,6 @@ std::vector<const apps::AppInfo*> named_apps(
   std::vector<const apps::AppInfo*> out;
   for (const auto& n : names) out.push_back(&apps::app_by_name(n));
   return out;
-}
-
-std::vector<WorkloadResult> run_sweep(
-    const std::vector<const apps::AppInfo*>& apps,
-    const std::vector<unsigned>& nodes, const BenchOptions& opt) {
-  // An empty selection is an empty sweep (the pre-refactor loops printed
-  // zero rows) — never a default "" spec point.
-  if (apps.empty() || nodes.empty()) return {};
-
-  driver::SweepSpec spec;
-  for (const auto* app : apps) spec.apps.push_back(app->name);
-  spec.node_counts = nodes;
-  spec.scale = opt.scale;
-  const auto points = spec.expand();
-
-  const driver::ExperimentRunner runner(opt.threads);
-  return runner.map<WorkloadResult>(
-      points, [&](const driver::SpecPoint& pt) {
-        WorkloadResult r;
-        r.point = pt;
-        r.app = &dsm::apps::app_by_name(pt.app);
-        try {
-          r.run = run_workload(*r.app, pt.scale, pt.nodes, opt.verbose,
-                               driver::spec_seed(pt));
-        } catch (const std::exception& e) {
-          // Name the configuration: in a parallel sweep "which point
-          // failed" is otherwise lost.
-          throw std::runtime_error(driver::spec_label(pt) + ": " +
-                                   e.what());
-        }
-        return r;
-      });
 }
 
 std::string host_context_json() {

@@ -4,7 +4,7 @@
 // the same stream records `dsm_report render` consumes offline.
 //
 // Every harness runs its sweep through sharded_sweep()/run_reduced_sweep()
-// and therefore supports three execution modes from one code path:
+// and therefore supports four execution modes from one code path:
 //
 //   * default            — in-process sweep on --threads=N workers; each
 //                          reduced configuration is serialized to its
@@ -12,18 +12,21 @@
 //                          the harness's renderer (src/report registry),
 //                          so the live tables are byte-identical to
 //                          `dsm_report render` over the collected records
-//                          — and to the old buffered-vector loops at any
-//                          thread count.
+//                          at any thread count.
 //   * --shard=i/N        — shard worker: runs only its round-robin slice
 //                          of the spec and writes one NDJSON record per
 //                          completed configuration to stdout (spec order,
 //                          flushed per record); human output is suppressed.
-//   * --shards=N         — orchestrator: forks N workers of this binary
-//                          with --shard=i/N, merges their streams in spec
-//                          order onto stdout. Merged output is
-//                          byte-identical to `--shards=1` (and to an
-//                          offline `dsm_report merge` over the workers'
-//                          collected files): records carry only
+//   * --pull=fd:K|host:port — pull worker: leases spec-index ranges from
+//                          a fleet coordinator and streams the same
+//                          records back over that transport.
+//   * --shards=N         — coordinator: forks N workers of this binary
+//                          with --pull=fd:3, leases them spec-index
+//                          ranges, and merges their records in spec order
+//                          onto stdout. Merged output is byte-identical to
+//                          `--shards=1` (and to an offline `dsm_report
+//                          merge` over --shard=i/N workers' collected
+//                          files): records carry only
 //                          configuration-content-derived, deterministic
 //                          values.
 //
@@ -111,8 +114,8 @@ struct BenchOptions {
   /// containing spec_index and the worker dies that way, exactly once.
   shard::FaultKind fault = shard::FaultKind::kNone;
   std::size_t fault_spec = 0;
-  /// Fleet timing/retry knobs: --lease-timeout-ms, --hb-interval-ms,
-  /// --max-respawns, --backoff-ms, --lease-chunk.
+  /// Fleet timing knobs: --lease-timeout-ms, --hb-interval-ms,
+  /// --backoff-ms.
   shard::FleetTuning tuning;
 };
 
@@ -136,11 +139,9 @@ struct ParseResult {
   std::string error;  ///< set when !ok
 };
 
-/// Parses --scale=paper|bench|test, --apps=LU,FMM,..., --nodes=2,8,32,
-/// --csv=DIR, --threads=N (0 = one per hardware thread), --shard=i/N,
-/// --shards=N, --verbose. Ignores google-benchmark-style flags it does
-/// not know. Never exits; malformed input comes back as
-/// ParseResult{ok=false, error}.
+/// Parses the flags usage_text() lists, plus google-benchmark-style
+/// --benchmark* flags, which it ignores. Never exits; malformed input
+/// comes back as ParseResult{ok=false, error}.
 ParseResult parse_options(int argc, char** argv);
 
 /// The flag reference printed under parse errors.
@@ -195,23 +196,6 @@ std::vector<const apps::AppInfo*> selected_apps(const BenchOptions& opt);
 /// harnesses iterate in the order the user named them).
 std::vector<const apps::AppInfo*> named_apps(
     const BenchOptions& opt, const std::vector<std::string>& defaults);
-
-/// One completed configuration of an app × nodes sweep, in spec order.
-struct WorkloadResult {
-  driver::SpecPoint point;
-  const apps::AppInfo* app = nullptr;
-  sim::RunSummary run;
-};
-
-/// Expands `apps` × `nodes` into a SweepSpec, simulates every
-/// configuration on opt.threads workers (deterministic per-point seeds),
-/// and returns the buffered results in spec order. Retained for callers
-/// that genuinely need whole RunSummaries side by side; sweeping
-/// harnesses use run_reduced_sweep() instead, which never buffers raw
-/// traces and gains --shard/--shards for free.
-std::vector<WorkloadResult> run_sweep(
-    const std::vector<const apps::AppInfo*>& apps,
-    const std::vector<unsigned>& nodes, const BenchOptions& opt);
 
 /// Serializes a CoV curve as the metrics-array layout the offline
 /// renderers rebuild tables and CSV exports from:

@@ -32,7 +32,6 @@
 #include "memory/home_map.hpp"
 #include "network/network.hpp"
 #include "obs/observability.hpp"
-#include "obs/prof.hpp"
 
 namespace {
 
@@ -179,10 +178,6 @@ void write_json(const std::string& path, apps::Scale scale,
   f << "  \"bench\": \"perf_hotpath\",\n";
   f << "  \"scale\": \"" << apps::scale_name(scale) << "\",\n";
   f << "  \"host\": " << bench::host_context_json() << ",\n";
-  // Present only in -DDSM_OBS_PROF=ON builds: the self-profiler's stage
-  // breakdown for this process (all configs pooled).
-  if (obs::prof_enabled())
-    f << "  \"prof\": " << obs::prof_report_json() << ",\n";
   f << "  \"accesses_per_config\": " << accesses << ",\n";
   f << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -295,10 +290,6 @@ int main(int argc, char** argv) {
         return r.obs_json;
       });
   if (stream) return rc;
-
-  if (obs::prof_enabled())
-    std::fprintf(stderr, "self-profiler (tsc, inclusive):\n%s\n",
-                 obs::prof_report_text().c_str());
 
   TableWriter wall({"topology", "nodes", "Maccess/s", "ns/access"});
   for (const auto& r : results) {

@@ -23,7 +23,6 @@
 #include "bench/bench_util.hpp"
 #include "common/table_writer.hpp"
 #include "driver/sweep_spec.hpp"
-#include "obs/prof.hpp"
 
 namespace {
 
@@ -84,10 +83,6 @@ void write_json(const std::string& path, apps::Scale scale,
   f << "  \"bench\": \"perf_sim\",\n";
   f << "  \"scale\": \"" << apps::scale_name(scale) << "\",\n";
   f << "  \"host\": " << bench::host_context_json() << ",\n";
-  // Present only in -DDSM_OBS_PROF=ON builds: the self-profiler's stage
-  // breakdown for this process (all configs pooled).
-  if (obs::prof_enabled())
-    f << "  \"prof\": " << obs::prof_report_json() << ",\n";
   f << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
@@ -184,10 +179,6 @@ int main(int argc, char** argv) {
         return r.obs_json;
       });
   if (stream) return rc;
-
-  if (obs::prof_enabled())
-    std::fprintf(stderr, "self-profiler (tsc, inclusive):\n%s\n",
-                 obs::prof_report_text().c_str());
 
   TableWriter wall({"app", "nodes", "sim MIPS", "seconds"});
   for (std::size_t i = 0; i < results.size(); ++i) {

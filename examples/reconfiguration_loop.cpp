@@ -21,6 +21,7 @@
 #include "apps/registry.hpp"
 #include "bench/bench_util.hpp"
 #include "common/config.hpp"
+#include "driver/sweep_spec.hpp"
 #include "phase/detector.hpp"
 #include "phase/predictor.hpp"
 #include "sim/machine.hpp"
@@ -135,8 +136,15 @@ int main(int argc, char** argv) {
 
   std::printf("simulating %s on %u nodes...\n", app->name.c_str(),
               opt.node_counts[0]);
-  const auto sweep = bench::run_sweep({app}, {opt.node_counts[0]}, opt);
-  const auto& run = sweep.front().run;
+  // Seeded like a one-point sweep, so the study matches the sweep
+  // harnesses' run of the same configuration bit for bit.
+  driver::SweepSpec spec;
+  spec.apps = {app->name};
+  spec.node_counts = {opt.node_counts[0]};
+  spec.scale = opt.scale;
+  const sim::RunSummary run =
+      bench::run_workload(*app, opt.scale, opt.node_counts[0], opt.verbose,
+                          driver::spec_seed(spec.expand().front()));
   const MachineConfig& cfg = run.cfg;
   const auto& trace = run.procs[0].intervals;
   std::printf("%zu intervals recorded on proc 0\n\n", trace.size());

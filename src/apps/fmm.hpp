@@ -6,7 +6,7 @@
 // Structure per step: bin particles into the leaf grid; upward pass (P2M
 // at the leaves, M2M up the quadtree); M2L across each cell's well-
 // separated interaction list; downward pass (L2L, L2P); near-field direct
-// interactions over a centralized task queue (dynamic load balancing, the
+// interactions over per-step costzones (dynamic load balancing, the
 // execution model §III-B of the paper calls out); particle advance.
 // Particles start sorted so each processor's chunk matches its cell
 // region; cluster motion then erodes that locality — a time-varying

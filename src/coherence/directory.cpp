@@ -4,7 +4,6 @@
 
 #include "common/assert.hpp"
 #include "common/bitops.hpp"
-#include "obs/prof.hpp"
 
 namespace dsm::coh {
 
@@ -40,7 +39,6 @@ Directory::Directory(NodeId home, std::size_t expected_lines)
 
 DirEntry& Directory::entry(Addr line_addr) {
   DSM_ASSERT(line_addr != kEmptyKey);
-  DSM_PROF_SCOPE(kDirProbe);
   // Keep load below 1/2 before probing so the returned reference is not
   // invalidated by this call's own insert. Growth jumps 4x: a slice that
   // outruns its pre-size is mid-warm-up, and quartering the rebuild count
@@ -103,21 +101,19 @@ void Directory::erase(Addr line_addr) {
 
 void Directory::rebuild(std::size_t new_cap) {
   DSM_ASSERT(is_pow2(new_cap) && new_cap >= size_ * 2);
-  // Rehash into the spare lanes, then swap: allocation-free unless
-  // new_cap exceeds the high-water capacity (growth — a warm-up event).
-  if (spare_keys_.capacity() < new_cap) spare_keys_.reserve(new_cap);
-  if (spare_entries_.capacity() < new_cap) spare_entries_.reserve(new_cap);
-  spare_keys_.assign(new_cap, kEmptyKey);
-  spare_entries_.assign(new_cap, DirEntry{});
-  spare_keys_.swap(keys_);
-  spare_entries_.swap(entries_);
+  // Called only to grow, so the old lanes are never reused: rehash out
+  // of them, then free them.
+  std::vector<Addr> old_keys(new_cap, kEmptyKey);
+  std::vector<DirEntry> old_entries(new_cap);
+  old_keys.swap(keys_);
+  old_entries.swap(entries_);
   const std::size_t mask = new_cap - 1;
-  for (std::size_t s = 0; s < spare_keys_.size(); ++s) {
-    if (spare_keys_[s] == kEmptyKey) continue;
-    std::size_t i = slot_of(spare_keys_[s]);
+  for (std::size_t s = 0; s < old_keys.size(); ++s) {
+    if (old_keys[s] == kEmptyKey) continue;
+    std::size_t i = slot_of(old_keys[s]);
     while (keys_[i] != kEmptyKey) i = (i + 1) & mask;
-    keys_[i] = spare_keys_[s];
-    entries_[i] = spare_entries_[s];
+    keys_[i] = old_keys[s];
+    entries_[i] = old_entries[s];
   }
 }
 
@@ -149,28 +145,6 @@ void Directory::check_invariants() const {
                      "probe chain to a live key crosses an empty slot");
   }
   DSM_ASSERT_MSG(used == size_, "size_ disagrees with occupied slots");
-}
-
-void Directory::compact() {
-  // Drop dead (Uncached, no sharers) entries, then rebuild: open
-  // addressing cannot bulk-erase in place without breaking probe chains.
-  std::size_t live = 0;
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    if (keys_[i] == kEmptyKey) continue;
-    if (entries_[i].state == DirEntry::State::kUncached &&
-        entries_[i].sharers == 0) {
-      keys_[i] = kEmptyKey;
-      --size_;
-    } else {
-      ++live;
-    }
-  }
-  // Shrink only when hugely sparse (target ≤ 25% load with another 2x of
-  // insert headroom) so a compact near the grow threshold cannot thrash
-  // between halving and immediately re-doubling.
-  std::size_t cap = keys_.size();
-  while (cap > kInitialSlots && live * 8 <= cap) cap /= 2;
-  rebuild(cap);
 }
 
 }  // namespace dsm::coh

@@ -65,9 +65,8 @@ class Directory {
   NodeId home() const { return home_; }
 
   /// Mutable entry (creating an Uncached one on demand). The reference is
-  /// invalidated by the next entry(), erase(), or compact() on this slice
-  /// (the table may resize/rebuild or shift entries) — don't hold it
-  /// across any of them.
+  /// invalidated by the next entry() or erase() on this slice (the table
+  /// may rebuild or shift entries) — don't hold it across either.
   DirEntry& entry(Addr line_addr);
 
   /// Read-only lookup; returns a value copy (Uncached default if absent).
@@ -89,19 +88,9 @@ class Directory {
   /// <= 1/2 load entry() maintains, allocation-free, and probe chains
   /// stay as short as a freshly built table. The fabric calls this the
   /// moment a line's last cached copy disappears, which bounds slice
-  /// memory to the lines actually cached — the periodic compact() walk
-  /// the fabric used to amortize (and its small-machine gating) is gone
-  /// from the access path entirely.
+  /// memory to the lines actually cached.
   /// Invalidates references returned by entry().
   void erase(Addr line_addr);
-
-  /// Drops entries that returned to kUncached and shrinks a hugely
-  /// sparse table. O(capacity): rebuilds the table around the survivors,
-  /// rehashing into spare lanes retained from the previous rebuild
-  /// (allocation-free at steady capacity). Bulk form of erase() for
-  /// callers that mark entries dead without erasing (tests, offline
-  /// consumers); the fabric no longer needs it.
-  void compact();
 
   std::size_t tracked_lines() const { return size_; }
 
@@ -146,13 +135,6 @@ class Directory {
   // entries_[i] is meaningful only when keys_[i] holds a line address.
   std::vector<Addr> keys_;
   std::vector<DirEntry> entries_;
-  /// Rebuild targets, swapped with the live lanes after every rehash and
-  /// kept at the table's high-water capacity, so only a growth rebuild —
-  /// the table reaching a new high-water mark, which warm-up exhausts —
-  /// ever allocates. Costs at most 2x directory memory, which in-place
-  /// erasure itself bounds to the lines actually cached.
-  std::vector<Addr> spare_keys_;
-  std::vector<DirEntry> spare_entries_;
 };
 
 }  // namespace dsm::coh

@@ -4,7 +4,6 @@
 
 #include "common/assert.hpp"
 #include "common/bitops.hpp"
-#include "obs/prof.hpp"
 
 namespace dsm::coh {
 
@@ -90,7 +89,6 @@ const NodeCoherenceStats& CoherenceFabric::stats(NodeId n) const {
 
 AccessOutcome CoherenceFabric::access(NodeId node, Addr addr, bool is_write,
                                       Cycle now) {
-  DSM_PROF_SCOPE(kAccess);
   DSM_ASSERT(node < nodes_.size());
   Node& me = nodes_[node];
   const Addr line = me.l2.line_of(addr);
@@ -219,7 +217,6 @@ Cycle CoherenceFabric::directory_request(NodeId requestor, Addr line,
                                          AccessOutcome& out,
                                          mem::Cache::LineRef l1_ref,
                                          const mem::Cache::FillCursor& l2_cursor) {
-  DSM_PROF_SCOPE(kDirRequest);
   Node& me = nodes_[requestor];
   const mem::Cache::LineRef l2_ref = l2_cursor.ref;
   const NodeId home = out.home;
@@ -517,7 +514,6 @@ Cycle CoherenceFabric::directory_request(NodeId requestor, Addr line,
 Cycle CoherenceFabric::fill_hierarchy(NodeId requestor, Addr line, LineState st,
                                       Cycle now,
                                       const mem::Cache::FillCursor& l2_cursor) {
-  DSM_PROF_SCOPE(kFill);
   Node& me = nodes_[requestor];
   Cycle lat = 0;
   // The L2 allocation reuses the miss cursor from access()'s fused walk

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/assert.hpp"
-
 namespace dsm {
 
 void RunningStat::add(double x) {
@@ -54,68 +52,6 @@ double RunningStat::stddev() const { return std::sqrt(variance()); }
 double RunningStat::cov() const {
   if (n_ < 2 || mean_ == 0.0) return 0.0;
   return stddev() / mean_;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  DSM_ASSERT(hi > lo);
-  DSM_ASSERT(buckets > 0);
-}
-
-void Histogram::add(double x, std::uint64_t weight) {
-  auto idx = static_cast<std::int64_t>((x - lo_) / width_);
-  idx = std::clamp<std::int64_t>(idx, 0,
-                                 static_cast<std::int64_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(idx)] += weight;
-  total_ += weight;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto c = static_cast<double>(counts_[i]);
-    if (cum + c >= target && c > 0.0) {
-      const double frac = (target - cum) / c;
-      return bucket_lo(i) + frac * width_;
-    }
-    cum += c;
-  }
-  return hi_;
-}
-
-void StatRegistry::inc(const std::string& name, std::uint64_t by) {
-  counters_[name] += by;
-}
-
-void StatRegistry::set(const std::string& name, std::uint64_t value) {
-  counters_[name] = value;
-}
-
-std::uint64_t StatRegistry::get(const std::string& name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-bool StatRegistry::has(const std::string& name) const {
-  return counters_.contains(name);
-}
-
-void StatRegistry::reset() { counters_.clear(); }
-
-void StatRegistry::merge(const StatRegistry& other) {
-  for (const auto& [k, v] : other.counters_) counters_[k] += v;
 }
 
 double mean_of(std::span<const double> xs) {

@@ -3,10 +3,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
-#include <string>
-#include <vector>
 
 namespace dsm {
 
@@ -36,45 +33,6 @@ class RunningStat {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-/// Fixed-bucket histogram over [lo, hi); out-of-range samples clamp into the
-/// first/last bucket. Used for latency and queueing-delay distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x, std::uint64_t weight = 1);
-  std::uint64_t total() const { return total_; }
-  std::span<const std::uint64_t> buckets() const { return counts_; }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-  /// Value below which `q` (0..1) of the mass lies (linear within bucket).
-  double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
-/// Named counter registry: every module dumps its counters here so benches
-/// and tests can introspect totals without plumbing ad-hoc getters.
-class StatRegistry {
- public:
-  void inc(const std::string& name, std::uint64_t by = 1);
-  void set(const std::string& name, std::uint64_t value);
-  std::uint64_t get(const std::string& name) const;
-  bool has(const std::string& name) const;
-  const std::map<std::string, std::uint64_t>& all() const { return counters_; }
-  void reset();
-  /// Adds every counter of `other` into this registry.
-  void merge(const StatRegistry& other);
-
- private:
-  std::map<std::string, std::uint64_t> counters_;
 };
 
 /// Mean of a span (0 for empty), and population CoV helpers used by the

@@ -5,7 +5,7 @@
 // builds its own Machine, owns its own RNG streams (seeded from the spec
 // point, see sweep_spec.hpp), and shares nothing mutable. The runner fans
 // the expanded spec out over N workers pulling from an atomic work queue
-// and aggregates results in spec order via ResultSink, so output is
+// and emits results in spec order via OrderedEmitter, so output is
 // bit-identical to a serial loop.
 //
 // Failure semantics: the first configuration to throw stops the pool from
@@ -39,17 +39,6 @@ class ExperimentRunner {
   void run_indexed(std::size_t count,
                    const std::function<void(std::size_t)>& fn) const;
 
-  /// Maps fn over the points on the pool; results come back in spec order
-  /// (points[i].index must equal i, as SweepSpec::expand() guarantees).
-  template <typename R>
-  std::vector<R> map(const std::vector<SpecPoint>& points,
-                     const std::function<R(const SpecPoint&)>& fn) const {
-    ResultSink<R> sink(points.size());
-    run_indexed(points.size(),
-                [&](std::size_t i) { sink.put(i, fn(points[i])); });
-    return sink.take();
-  }
-
   /// Streaming map with an in-worker reduction hook: `run` produces the
   /// raw per-configuration result (a RunSummary, typically) on a pool
   /// worker, `reduce` collapses it *on the same worker* — the raw result
@@ -59,9 +48,9 @@ class ExperimentRunner {
   /// never interleave). Nothing buffers more than the reduced records
   /// still waiting on a straggler.
   ///
-  /// Unlike map(), `points` need not satisfy points[i].index == i: a
-  /// shard of a larger sweep keeps its global spec indices in the points
-  /// while this method orders by position within `points`.
+  /// `points` need not satisfy points[i].index == i: a shard of a larger
+  /// sweep keeps its global spec indices in the points while this method
+  /// orders by position within `points`.
   template <typename Raw, typename R>
   void map_reduce(
       const std::vector<SpecPoint>& points,

@@ -1,75 +1,25 @@
 // result_sink.hpp — spec-order aggregation of per-configuration results.
 //
-// Worker threads complete configurations in arbitrary order; two sinks
-// restore spec order:
-//
-//   * ResultSink buffers every result and hands the whole vector back via
-//     take() — the original PR 1 shape, still right when the caller needs
-//     all results at once (and the per-result payload is small).
-//   * OrderedEmitter streams: put(i, r) releases results to an emit
-//     callback in strictly increasing index order, buffering only the
-//     out-of-order completions. This is the spec-order serializer under
-//     ExperimentRunner::map_reduce — with in-worker reduction in front of
-//     it, nothing ever buffers more than the reduced records still waiting
-//     for their turn.
-//
-// Both are the piece that makes `--threads=N` output bit-identical to
-// `--threads=1`.
+// Worker threads complete configurations in arbitrary order.
+// OrderedEmitter restores spec order as a stream: put(i, r) releases
+// results to an emit callback in strictly increasing index order,
+// buffering only the out-of-order completions. It is the spec-order
+// serializer under ExperimentRunner::map_reduce — with in-worker
+// reduction in front of it, nothing ever buffers more than the reduced
+// records still waiting for their turn. It is the piece that makes
+// `--threads=N` output bit-identical to `--threads=1`.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
 
 namespace dsm::driver {
-
-template <typename R>
-class ResultSink {
- public:
-  explicit ResultSink(std::size_t count) : slots_(count) {}
-
-  /// Stores the result for spec-order position `index`. Thread-safe;
-  /// each slot may be filled at most once, and only before take().
-  void put(std::size_t index, R value) {
-    std::lock_guard<std::mutex> lock(mu_);
-    DSM_ASSERT(index < slots_.size());
-    DSM_ASSERT(!taken_);
-    DSM_ASSERT(!slots_[index].has_value());
-    slots_[index].emplace(std::move(value));
-  }
-
-  /// Moves all results out in spec order. Every slot must be filled
-  /// (the runner guarantees this on success; on failure it rethrows
-  /// before any caller reaches take()). Consuming: callable exactly once —
-  /// a second call would hand back a same-length vector of moved-from
-  /// values that silently corrupts downstream tables, so it throws
-  /// instead (always on, like DSM_ASSERT, but catchable in tests).
-  std::vector<R> take() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (taken_)
-      throw std::logic_error("ResultSink::take() called twice");
-    taken_ = true;
-    std::vector<R> out;
-    out.reserve(slots_.size());
-    for (auto& slot : slots_) {
-      DSM_ASSERT(slot.has_value());
-      out.push_back(std::move(*slot));
-      slot.reset();
-    }
-    return out;
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<std::optional<R>> slots_;
-  bool taken_ = false;
-};
 
 /// Streaming spec-order serializer: results arrive via put() in any order
 /// from any thread; `emit` fires in strictly increasing index order, on

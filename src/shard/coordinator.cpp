@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <map>
 #include <optional>
@@ -21,13 +20,6 @@
 
 namespace dsm::shard {
 namespace {
-
-std::uint64_t steady_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 bool send_line_fd(int fd, const std::string& line) {
   const std::string data = line + "\n";
@@ -245,7 +237,7 @@ class Fleet {
     // remote or preconnected worker.
     const bool fork_mode =
         opt_.listen_port == 0 && opt_.preconnected_fds.empty();
-    if (fork_mode && s.respawns < opt_.tuning.max_respawns) {
+    if (fork_mode && s.respawns < kMaxRespawns) {
       ++s.respawns;
       const std::uint64_t backoff =
           respawn_backoff_ms(opt_.tuning, s.respawns);
@@ -253,7 +245,7 @@ class Fleet {
       std::fprintf(stderr,
                    "fleet: respawning worker %u in %llu ms (attempt %u/%u)\n",
                    i, static_cast<unsigned long long>(backoff), s.respawns,
-                   opt_.tuning.max_respawns);
+                   kMaxRespawns);
       log_event(i, "retrying", 0, 0);
     } else {
       mark_down(i);

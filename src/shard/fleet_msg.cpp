@@ -1,54 +1,10 @@
 #include "shard/fleet_msg.hpp"
 
-#include <charconv>
-#include <cstring>
-
 #include "common/parse.hpp"
+#include "shard/line_scanner.hpp"
 #include "shard/stream_sink.hpp"
 
 namespace dsm::shard {
-namespace {
-
-// Same strict-scanner idiom as heartbeat.cpp: private wire format, exact
-// key order, no general JSON.
-struct Scanner {
-  const char* p;
-  const char* end;
-
-  bool lit(const char* s) {
-    const std::size_t n = std::strlen(s);
-    if (static_cast<std::size_t>(end - p) < n || std::memcmp(p, s, n) != 0)
-      return false;
-    p += n;
-    return true;
-  }
-  bool uint(std::uint64_t& out) {
-    const auto [next, ec] = std::from_chars(p, end, out);
-    if (ec != std::errc{} || next == p) return false;
-    p = next;
-    return true;
-  }
-  bool quoted(std::string& out) {
-    out.clear();
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        if (end - p < 2) return false;
-        switch (p[1]) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          default: return false;
-        }
-        p += 2;
-      } else {
-        out += *p++;
-      }
-    }
-    return lit("\"");
-  }
-  bool done() const { return p == end; }
-};
-
-}  // namespace
 
 const char* fault_name(FaultKind kind) {
   switch (kind) {
@@ -116,30 +72,30 @@ bool is_fleet_msg(const std::string& line) {
 }
 
 std::optional<FleetMsg> parse_fleet_msg(const std::string& line) {
-  Scanner s{line.data(), line.data() + line.size()};
+  LineScanner s(line);
   if (!s.lit("{\"fleet\":\"")) return std::nullopt;
   FleetMsg msg;
   if (s.lit("hello\",\"bench\":\"")) {
     msg.type = FleetMsg::Type::kHello;
     if (!s.quoted(msg.bench)) return std::nullopt;
-    if (!s.lit(",\"total\":") || !s.uint(msg.total)) return std::nullopt;
+    if (!s.lit(",\"total\":") || !s.num(msg.total)) return std::nullopt;
   } else if (s.lit("pull\"")) {
     msg.type = FleetMsg::Type::kPull;
   } else if (s.lit("welcome\",\"worker\":")) {
     msg.type = FleetMsg::Type::kWelcome;
-    if (!s.uint(msg.worker)) return std::nullopt;
-    if (!s.lit(",\"hb_ms\":") || !s.uint(msg.hb_ms)) return std::nullopt;
+    if (!s.num(msg.worker)) return std::nullopt;
+    if (!s.lit(",\"hb_ms\":") || !s.num(msg.hb_ms)) return std::nullopt;
   } else if (s.lit("lease\",\"lo\":")) {
     msg.type = FleetMsg::Type::kLease;
-    if (!s.uint(msg.lo)) return std::nullopt;
-    if (!s.lit(",\"hi\":") || !s.uint(msg.hi)) return std::nullopt;
+    if (!s.num(msg.lo)) return std::nullopt;
+    if (!s.lit(",\"hi\":") || !s.num(msg.hi)) return std::nullopt;
     if (s.lit(",\"fault\":\"")) {
       std::string name;
       if (!s.quoted(name)) return std::nullopt;
       const auto k = fault_from_name(name);
       if (!k) return std::nullopt;
       msg.fault = *k;
-      if (!s.lit(",\"fault_spec\":") || !s.uint(msg.fault_spec))
+      if (!s.lit(",\"fault_spec\":") || !s.num(msg.fault_spec))
         return std::nullopt;
     }
   } else if (s.lit("fin\"")) {
@@ -161,14 +117,14 @@ std::string format_lease_event(const LeaseEvent& ev) {
 }
 
 bool parse_lease_event(const std::string& line, LeaseEvent* out) {
-  Scanner s{line.data(), line.data() + line.size()};
+  LineScanner s(line);
   LeaseEvent ev;
-  if (!s.lit("{\"ls\":1,\"worker\":") || !s.uint(ev.worker)) return false;
+  if (!s.lit("{\"ls\":1,\"worker\":") || !s.num(ev.worker)) return false;
   if (!s.lit(",\"state\":\"") || !s.quoted(ev.state)) return false;
-  if (!s.lit(",\"lo\":") || !s.uint(ev.lo)) return false;
-  if (!s.lit(",\"hi\":") || !s.uint(ev.hi)) return false;
-  if (!s.lit(",\"retries\":") || !s.uint(ev.retries)) return false;
-  if (!s.lit(",\"wall_ms\":") || !s.uint(ev.wall_ms)) return false;
+  if (!s.lit(",\"lo\":") || !s.num(ev.lo)) return false;
+  if (!s.lit(",\"hi\":") || !s.num(ev.hi)) return false;
+  if (!s.lit(",\"retries\":") || !s.num(ev.retries)) return false;
+  if (!s.lit(",\"wall_ms\":") || !s.num(ev.wall_ms)) return false;
   if (!s.lit("}") || !s.done()) return false;
   *out = std::move(ev);
   return true;

@@ -21,9 +21,9 @@
 //     {"fleet":"fin"}
 //         sweep drained; disconnect and exit 0.
 //
-// Parsers follow the repo's strict-scanner idiom (heartbeat.cpp): these
-// are private wire formats between one binary's coordinator and workers,
-// not general JSON.
+// Parsers use the shard line scanner (line_scanner.hpp): these are
+// private wire formats between one binary's coordinator and workers, not
+// general JSON.
 #pragma once
 
 #include <cstddef>

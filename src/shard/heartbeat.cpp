@@ -2,14 +2,12 @@
 
 #include <sys/resource.h>
 
-#include <charconv>
 #include <chrono>
-#include <cstring>
 
+#include "shard/line_scanner.hpp"
 #include "shard/stream_sink.hpp"
 
 namespace dsm::shard {
-namespace {
 
 std::uint64_t steady_ms() {
   return static_cast<std::uint64_t>(
@@ -18,56 +16,14 @@ std::uint64_t steady_ms() {
           .count());
 }
 
+namespace {
+
 std::uint64_t max_rss_kb() {
   struct rusage ru{};
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
   // Linux reports ru_maxrss in KiB already.
   return static_cast<std::uint64_t>(ru.ru_maxrss);
 }
-
-// Heartbeats reuse stream_sink's strict-scanner idiom, but signed
-// last_spec needs its own integer step.
-struct HbScanner {
-  const char* p;
-  const char* end;
-
-  bool lit(const char* s) {
-    const std::size_t n = std::strlen(s);
-    if (static_cast<std::size_t>(end - p) < n || std::memcmp(p, s, n) != 0)
-      return false;
-    p += n;
-    return true;
-  }
-  bool uint(std::uint64_t& out) {
-    const auto [next, ec] = std::from_chars(p, end, out);
-    if (ec != std::errc{} || next == p) return false;
-    p = next;
-    return true;
-  }
-  bool sint(std::int64_t& out) {
-    const auto [next, ec] = std::from_chars(p, end, out);
-    if (ec != std::errc{} || next == p) return false;
-    p = next;
-    return true;
-  }
-  bool quoted(std::string& out) {
-    out.clear();
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        if (end - p < 2) return false;
-        switch (p[1]) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          default: return false;
-        }
-        p += 2;
-      } else {
-        out += *p++;
-      }
-    }
-    return lit("\"");
-  }
-};
 
 }  // namespace
 
@@ -90,24 +46,30 @@ std::string format_heartbeat(const Heartbeat& hb) {
   return line;
 }
 
+std::string stamp_heartbeat(Heartbeat& hb, std::uint64_t start_ms) {
+  hb.wall_ms = steady_ms() - start_ms;
+  hb.maxrss_kb = max_rss_kb();
+  return format_heartbeat(hb);
+}
+
 bool parse_heartbeat(const std::string& line, Heartbeat* out) {
-  HbScanner s{line.data(), line.data() + line.size()};
+  LineScanner s(line);
   Heartbeat hb;
   if (!s.lit("{\"hb\":1,\"bench\":\"")) return false;
   if (!s.quoted(hb.bench)) return false;
   if (!s.lit(",\"shard\":\"")) return false;
   if (!s.quoted(hb.shard)) return false;
   if (!s.lit(",\"done\":")) return false;
-  if (!s.uint(hb.done)) return false;
+  if (!s.num(hb.done)) return false;
   if (!s.lit(",\"total\":")) return false;
-  if (!s.uint(hb.total)) return false;
+  if (!s.num(hb.total)) return false;
   if (!s.lit(",\"last_spec\":")) return false;
-  if (!s.sint(hb.last_spec)) return false;
+  if (!s.num(hb.last_spec)) return false;
   if (!s.lit(",\"wall_ms\":")) return false;
-  if (!s.uint(hb.wall_ms)) return false;
+  if (!s.num(hb.wall_ms)) return false;
   if (!s.lit(",\"maxrss_kb\":")) return false;
-  if (!s.uint(hb.maxrss_kb)) return false;
-  if (!s.lit("}") || s.p != s.end) return false;
+  if (!s.num(hb.maxrss_kb)) return false;
+  if (!s.lit("}") || !s.done()) return false;
   *out = std::move(hb);
   return true;
 }
@@ -137,9 +99,7 @@ void HeartbeatEmitter::progress(std::int64_t spec_index) {
 }
 
 void HeartbeatEmitter::emit() {
-  hb_.wall_ms = steady_ms() - start_ms_;
-  hb_.maxrss_kb = max_rss_kb();
-  const std::string line = format_heartbeat(hb_);
+  const std::string line = stamp_heartbeat(hb_, start_ms_);
   std::fwrite(line.data(), 1, line.size(), out_);
   std::fputc('\n', out_);
   // Flush per record: `dsm_report progress` reads the file while the

@@ -39,8 +39,17 @@ struct Heartbeat {
   std::uint64_t maxrss_kb = 0;   ///< getrusage peak RSS
 };
 
+/// Monotonic milliseconds: the clock beats and the coordinator's
+/// deadlines both read.
+std::uint64_t steady_ms();
+
 /// The full NDJSON line for a heartbeat (no trailing newline).
 std::string format_heartbeat(const Heartbeat& hb);
+
+/// Sets hb's host fields — wall_ms since `start_ms` (a steady_ms()
+/// reading) and this process's peak RSS — and formats it.
+/// HeartbeatEmitter and PullWorker both build their beats here.
+std::string stamp_heartbeat(Heartbeat& hb, std::uint64_t start_ms);
 
 /// Parses a line produced by format_heartbeat. Strict, like
 /// parse_record: returns false on anything else.

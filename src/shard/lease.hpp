@@ -26,16 +26,18 @@
 
 namespace dsm::shard {
 
-/// Fleet timing/retry knobs, all overridable from the bench command line.
+/// Times a dead worker slot is respawned before the fleet shrinks for
+/// good. Survivors still drain the released work either way.
+constexpr unsigned kMaxRespawns = 3;
+
+/// Fleet timing knobs. The bench command line sets all but lease_chunk,
+/// which stays on auto outside tests.
 struct FleetTuning {
   /// A leased worker whose last heartbeat is at least this old is dead.
   std::uint64_t heartbeat_deadline_ms = 30000;
   /// Cadence workers are told to beat at (welcome message). Kept well
   /// under the deadline so one dropped beat is not a death sentence.
   std::uint64_t heartbeat_interval_ms = 1000;
-  /// Times a dead worker slot is respawned before the fleet shrinks for
-  /// good. Survivors still drain the released work either way.
-  unsigned max_respawns = 3;
   /// Exponential backoff between respawns of the same slot:
   /// min(base << (attempt-1), max) — see respawn_backoff_ms().
   std::uint64_t backoff_base_ms = 250;

@@ -1,6 +1,5 @@
 #include "shard/pull_worker.hpp"
 
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -9,22 +8,6 @@
 #include "shard/heartbeat.hpp"
 
 namespace dsm::shard {
-namespace {
-
-std::uint64_t steady_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-std::uint64_t max_rss_kb() {
-  struct rusage ru{};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
-  return static_cast<std::uint64_t>(ru.ru_maxrss);
-}
-
-}  // namespace
 
 PullWorker::PullWorker(const Endpoint& endpoint, std::string bench,
                        std::size_t total)
@@ -93,9 +76,7 @@ void PullWorker::beat() {
   hb.bench = bench_;
   hb.shard = "w" + std::to_string(worker_id_);
   hb.total = total_;
-  hb.wall_ms = steady_ms() - start_ms_;
-  hb.maxrss_kb = max_rss_kb();
-  transport_->send_line(format_heartbeat(hb));
+  transport_->send_line(stamp_heartbeat(hb, start_ms_));
 }
 
 std::optional<Lease> PullWorker::next_lease() {

@@ -2,84 +2,11 @@
 
 #include <charconv>
 #include <cinttypes>
-#include <cstring>
 
 #include "common/assert.hpp"
+#include "shard/line_scanner.hpp"
 
 namespace dsm::shard {
-namespace {
-
-// ---- minimal strict scanner over the format_record layout ----
-
-struct Scanner {
-  const char* p;
-  const char* end;
-
-  bool lit(const char* s) {
-    const std::size_t n = std::strlen(s);
-    if (static_cast<std::size_t>(end - p) < n || std::memcmp(p, s, n) != 0)
-      return false;
-    p += n;
-    return true;
-  }
-
-  bool uint(std::uint64_t& out, int base = 10) {
-    const auto [next, ec] = std::from_chars(p, end, out, base);
-    if (ec != std::errc{} || next == p) return false;
-    p = next;
-    return true;
-  }
-
-  // A JSON string body up to the closing quote; handles the escapes
-  // json_escape produces.
-  bool quoted(std::string& out) {
-    out.clear();
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        if (end - p < 2) return false;
-        switch (p[1]) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          default: return false;  // \uXXXX etc.: not produced by us
-        }
-        p += 2;
-      } else {
-        out += *p++;
-      }
-    }
-    return lit("\"");
-  }
-
-  // The metrics object, verbatim, by brace counting (json_escape never
-  // leaves an unescaped quote inside strings, so a quote toggle suffices).
-  bool object(std::string& out) {
-    if (p >= end || *p != '{') return false;
-    const char* start = p;
-    int depth = 0;
-    bool in_string = false;
-    while (p < end) {
-      const char c = *p++;
-      if (in_string) {
-        if (c == '\\' && p < end) ++p;
-        else if (c == '"') in_string = false;
-      } else if (c == '"') {
-        in_string = true;
-      } else if (c == '{') {
-        ++depth;
-      } else if (c == '}') {
-        if (--depth == 0) {
-          out.assign(start, p);
-          return true;
-        }
-      }
-    }
-    return false;
-  }
-};
-
-}  // namespace
 
 // ---- JsonObject ----
 
@@ -201,21 +128,20 @@ std::string format_record(const std::string& bench, const StreamRecord& r) {
 }
 
 std::optional<ParsedRecord> parse_record(const std::string& line) {
-  Scanner s{line.data(), line.data() + line.size()};
+  LineScanner s(line);
   ParsedRecord out;
   std::uint64_t index = 0, seed = 0;
-  std::string seed_text;
   if (!s.lit("{\"v\":2,\"bench\":\"")) return std::nullopt;
   if (!s.quoted(out.bench)) return std::nullopt;
   if (!s.lit(",\"spec_index\":")) return std::nullopt;
-  if (!s.uint(index)) return std::nullopt;
+  if (!s.num(index)) return std::nullopt;
   if (!s.lit(",\"key\":\"")) return std::nullopt;
   if (!s.quoted(out.record.key)) return std::nullopt;
   if (!s.lit(",\"seed\":\"0x")) return std::nullopt;
-  if (!s.uint(seed, 16)) return std::nullopt;
+  if (!s.num(seed, 16)) return std::nullopt;
   if (!s.lit("\",\"metrics\":")) return std::nullopt;
   if (!s.object(out.record.metrics)) return std::nullopt;
-  if (!s.lit("}") || s.p != s.end) return std::nullopt;
+  if (!s.lit("}") || !s.done()) return std::nullopt;
   out.record.spec_index = static_cast<std::size_t>(index);
   out.record.seed = seed;
   return out;

@@ -42,7 +42,6 @@ Machine::Machine(const MachineConfig& cfg)
       sched_(cfg_.num_nodes),
       alloc_(home_map_),
       global_barrier_(sched_, cfg_.num_nodes, cfg_.sync),
-      tasks_(sched_, cfg_.sync),
       interval_len_(cfg_.interval_per_processor()) {
   const std::string err = cfg_.validate();
   DSM_ASSERT_MSG(err.empty(), err.c_str());

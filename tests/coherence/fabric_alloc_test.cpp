@@ -10,8 +10,7 @@
 // set is being established. Steady state — the millions of accesses every
 // figure's runtime is made of — must be allocation-free: cache lanes are
 // fixed at construction, directory erasure is in-place backward-shift,
-// rebuilds rehash into retained spare lanes, and the victim/writeback
-// path works in values and handles only.
+// and the victim/writeback path works in values and handles only.
 #include "coherence/fabric.hpp"
 
 #include <gtest/gtest.h>

@@ -32,6 +32,19 @@ Addr homed_at(const Rig& r, NodeId h, Addr offset = 0) {
   return h * r.cfg.memory.page_bytes + offset;
 }
 
+// `dsm_report trace` labels miss fills with these names, including the
+// source values a 7-bit trace field can hold but no DataSource has.
+TEST(DataSourceNameTest, NamesEverySourceAndMarksUnknownOnes) {
+  EXPECT_STREQ(data_source_name(DataSource::kL1), "L1");
+  EXPECT_STREQ(data_source_name(DataSource::kL2), "L2");
+  EXPECT_STREQ(data_source_name(DataSource::kLocalMem), "LocalMem");
+  EXPECT_STREQ(data_source_name(DataSource::kRemoteMem), "RemoteMem");
+  EXPECT_STREQ(data_source_name(DataSource::kRemoteCache), "RemoteCache");
+  EXPECT_STREQ(data_source_name(DataSource::kUpgrade), "Upgrade");
+  EXPECT_STREQ(data_source_name(static_cast<DataSource>(6)), "?");
+  EXPECT_STREQ(data_source_name(static_cast<DataSource>(127)), "?");
+}
+
 TEST(FabricTest, ColdReadMissGrantsExclusive) {
   Rig r(4);
   const Addr a = homed_at(r, 0);
@@ -267,9 +280,7 @@ TEST(FabricTest, StreamingKeepsTrackedLinesAtLiveLines) {
 // On a single node the correspondence is exact: every access is a read
 // granted Exclusive to the sole cacher, every L2 eviction erases that
 // line's entry, so tracked lines == lines resident in the L2 after every
-// single access (the in-place erase has no small-machine gate — unlike
-// the old periodic compaction walk, it does no work a small machine
-// would have to amortize).
+// single access.
 TEST(FabricTest, SingleNodeTracksExactlyResidentLines) {
   MachineConfig cfg = default_config(1);
   cfg.l2.size_bytes = 64 * 1024;

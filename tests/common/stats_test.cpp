@@ -70,62 +70,6 @@ TEST(RunningStatTest, CovZeroWhenMeanZero) {
   EXPECT_EQ(s.cov(), 0.0);  // guarded against divide-by-zero
 }
 
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);    // bucket 0
-  h.add(9.99);   // bucket 9
-  h.add(-5.0);   // clamps to bucket 0
-  h.add(50.0);   // clamps to bucket 9
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.buckets()[0], 2u);
-  EXPECT_EQ(h.buckets()[9], 2u);
-}
-
-TEST(HistogramTest, WeightedAdd) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(1.5, 10);
-  EXPECT_EQ(h.total(), 10u);
-  EXPECT_EQ(h.buckets()[1], 10u);
-}
-
-TEST(HistogramTest, QuantileOfUniformFill) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.0), 0.0, 1.0);
-}
-
-TEST(HistogramTest, BucketBoundaries) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(4), 10.0);
-}
-
-TEST(StatRegistryTest, IncSetGet) {
-  StatRegistry r;
-  EXPECT_EQ(r.get("x"), 0u);
-  EXPECT_FALSE(r.has("x"));
-  r.inc("x");
-  r.inc("x", 4);
-  EXPECT_EQ(r.get("x"), 5u);
-  r.set("x", 2);
-  EXPECT_EQ(r.get("x"), 2u);
-  EXPECT_TRUE(r.has("x"));
-}
-
-TEST(StatRegistryTest, MergeAddsCounters) {
-  StatRegistry a, b;
-  a.inc("shared", 1);
-  b.inc("shared", 2);
-  b.inc("only_b", 7);
-  a.merge(b);
-  EXPECT_EQ(a.get("shared"), 3u);
-  EXPECT_EQ(a.get("only_b"), 7u);
-}
-
 TEST(SpanStatsTest, MeanStddevCov) {
   const std::vector<double> xs{2, 4, 4, 4, 5, 5, 7, 9};
   EXPECT_DOUBLE_EQ(mean_of(xs), 5.0);

@@ -9,8 +9,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "apps/micro.hpp"
 #include "driver/result_sink.hpp"
@@ -19,6 +22,19 @@
 
 namespace dsm::driver {
 namespace {
+
+// Runs fn over points through map_reduce with an identity reduction and
+// collects the emitted results, which arrive in spec order.
+template <typename R>
+std::vector<R> collect(const ExperimentRunner& runner,
+                       const std::vector<SpecPoint>& points,
+                       const std::function<R(const SpecPoint&)>& fn) {
+  std::vector<R> out;
+  runner.map_reduce<R, R>(
+      points, fn, [](const SpecPoint&, R&& r) { return std::move(r); },
+      [&](const SpecPoint&, R&& r) { out.push_back(std::move(r)); });
+  return out;
+}
 
 TEST(SweepSpecTest, ExpandsAppMajorWithSequentialIndices) {
   SweepSpec spec;
@@ -95,7 +111,7 @@ TEST(ExperimentRunnerTest, ResultsArriveInSpecOrderUnderEightThreads) {
 
   const ExperimentRunner runner(8);
   // Stagger completion: later items finish *earlier* than earlier ones.
-  const auto results = runner.map<int>(points, [](const SpecPoint& pt) {
+  const auto results = collect<int>(runner, points, [](const SpecPoint& pt) {
     std::this_thread::sleep_for(
         std::chrono::microseconds(500 - 5 * static_cast<int>(pt.threshold)));
     return static_cast<int>(pt.threshold) * 3 + 1;
@@ -110,14 +126,13 @@ TEST(ExperimentRunnerTest, ThrowingConfigurationPropagatesWithoutDeadlock) {
   const auto points = spec.expand();
 
   const ExperimentRunner runner(8);
-  EXPECT_THROW(
-      runner.map<int>(points,
-                      [](const SpecPoint& pt) -> int {
-                        if (static_cast<int>(pt.threshold) == 11)
-                          throw std::runtime_error("config 11 exploded");
-                        return 0;
-                      }),
-      std::runtime_error);
+  EXPECT_THROW(collect<int>(runner, points,
+                           [](const SpecPoint& pt) -> int {
+                             if (static_cast<int>(pt.threshold) == 11)
+                               throw std::runtime_error("config 11 exploded");
+                             return 0;
+                           }),
+               std::runtime_error);
 }
 
 TEST(ExperimentRunnerTest, SerialPathAlsoPropagatesExceptions) {
@@ -132,31 +147,6 @@ TEST(ExperimentRunnerTest, SerialPathAlsoPropagatesExceptions) {
 TEST(ExperimentRunnerTest, ZeroThreadsResolvesToHardware) {
   EXPECT_GE(ExperimentRunner::resolve_threads(0), 1u);
   EXPECT_EQ(ExperimentRunner::resolve_threads(3), 3u);
-}
-
-TEST(ResultSinkTest, TakeReturnsSpecOrderRegardlessOfPutOrder) {
-  ResultSink<int> sink(4);
-  sink.put(2, 20);
-  sink.put(0, 0);
-  sink.put(3, 30);
-  sink.put(1, 10);
-  const auto out = sink.take();
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_EQ(out[0], 0);
-  EXPECT_EQ(out[1], 10);
-  EXPECT_EQ(out[2], 20);
-  EXPECT_EQ(out[3], 30);
-}
-
-TEST(ResultSinkTest, TakeIsConsumingAndSecondCallThrows) {
-  // A second take() would hand back a same-length vector of moved-from
-  // values — silent table corruption. It must refuse instead.
-  ResultSink<std::string> sink(2);
-  sink.put(0, "a");
-  sink.put(1, "b");
-  const auto out = sink.take();
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_THROW(sink.take(), std::logic_error);
 }
 
 TEST(OrderedEmitterTest, EmitsInIndexOrderRegardlessOfPutOrder) {
@@ -309,10 +299,7 @@ TEST(ExperimentRunnerTest, OneThreadMatchesSerialLoopOnMicroAtTestScale) {
   for (const auto& pt : points) serial.push_back(run_micro(pt));
 
   const ExperimentRunner one(1);
-  const auto driven =
-      one.map<sim::RunSummary>(points, [](const SpecPoint& pt) {
-        return run_micro(pt);
-      });
+  const auto driven = collect<sim::RunSummary>(one, points, run_micro);
 
   ASSERT_EQ(driven.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i)
@@ -326,10 +313,8 @@ TEST(ExperimentRunnerTest, EightThreadsMatchesOneThreadOnMicro) {
 
   const ExperimentRunner one(1);
   const ExperimentRunner eight(8);
-  const auto a = one.map<sim::RunSummary>(
-      points, [](const SpecPoint& pt) { return run_micro(pt); });
-  const auto b = eight.map<sim::RunSummary>(
-      points, [](const SpecPoint& pt) { return run_micro(pt); });
+  const auto a = collect<sim::RunSummary>(one, points, run_micro);
+  const auto b = collect<sim::RunSummary>(eight, points, run_micro);
 
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) expect_identical(a[i], b[i]);

@@ -49,6 +49,17 @@ TEST(FleetMsgTest, HelloRoundTrips) {
   EXPECT_EQ(msg->total, 48u);
 }
 
+TEST(FleetMsgTest, HelloWithEscapedBenchRoundTrips) {
+  // Every escape json_escape emits: quote, backslash, newline, tab.
+  const std::string odd = "a\"b\\c\nd\te";
+  const std::string line = format_hello(odd, 3);
+  EXPECT_EQ(line.find('\n'), std::string::npos);
+  const auto msg = parse_fleet_msg(line);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->bench, odd);
+  EXPECT_EQ(msg->total, 3u);
+}
+
 TEST(FleetMsgTest, PullWelcomeFinRoundTrip) {
   const auto pull = parse_fleet_msg(format_pull());
   ASSERT_TRUE(pull.has_value());
@@ -114,6 +125,16 @@ TEST(LeaseEventTest, RoundTripsEveryField) {
   EXPECT_EQ(back.hi, 14u);
   EXPECT_EQ(back.retries, 2u);
   EXPECT_EQ(back.wall_ms, 12345u);
+}
+
+TEST(LeaseEventTest, EscapedStateRoundTrips) {
+  LeaseEvent ev;
+  ev.state = "a\"b\\c\nd\te";
+  const std::string line = format_lease_event(ev);
+  EXPECT_EQ(line.find('\n'), std::string::npos);
+  LeaseEvent back;
+  ASSERT_TRUE(parse_lease_event(line, &back));
+  EXPECT_EQ(back.state, ev.state);
 }
 
 TEST(LeaseEventTest, RejectsNonLedgerLines) {

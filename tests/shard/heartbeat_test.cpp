@@ -71,6 +71,19 @@ TEST(HeartbeatFormatTest, RoundTripsInitialState) {
   EXPECT_EQ(back.last_spec, -1);
 }
 
+TEST(HeartbeatFormatTest, EscapedStringsRoundTrip) {
+  // Every escape json_escape emits: quote, backslash, newline, tab.
+  Heartbeat hb;
+  hb.bench = "a\"b\\c\nd\te";
+  hb.shard = "w\t1";
+  const std::string line = format_heartbeat(hb);
+  EXPECT_EQ(line.find('\n'), std::string::npos);
+  Heartbeat back;
+  ASSERT_TRUE(parse_heartbeat(line, &back));
+  EXPECT_EQ(back.bench, hb.bench);
+  EXPECT_EQ(back.shard, hb.shard);
+}
+
 TEST(HeartbeatFormatTest, ParserIsStrict) {
   Heartbeat hb;
   EXPECT_FALSE(parse_heartbeat("", &hb));

@@ -49,6 +49,21 @@ TEST(StreamRecordTest, FormatParsesBackLosslessly) {
   EXPECT_EQ(parsed->record.metrics, r.metrics);
 }
 
+TEST(StreamRecordTest, EscapedStringsRoundTrip) {
+  // Every escape json_escape emits: quote, backslash, newline, tab.
+  const std::string odd = "a\"b\\c\nd\te";
+  StreamRecord r;
+  r.key = odd;
+  r.metrics = JsonObject().add(odd, odd).str();
+  const std::string line = format_record(odd, r);
+  EXPECT_EQ(line.find('\n'), std::string::npos);
+  const auto parsed = parse_record(line);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->bench, odd);
+  EXPECT_EQ(parsed->record.key, odd);
+  EXPECT_EQ(parsed->record.metrics, r.metrics);
+}
+
 TEST(StreamRecordTest, SchemaIsPinned) {
   // The self-describing layout is a contract with external consumers
   // (CI artifacts, downstream aggregation): byte-for-byte golden.

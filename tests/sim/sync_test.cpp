@@ -145,35 +145,5 @@ TEST(LockDeathTest, ReleaseByNonOwnerAborts) {
       "non-owner");
 }
 
-TEST(TaskQueueTest, HandsOutAllTasksExactlyOnce) {
-  Scheduler s(4);
-  TaskQueue q(s, sync_cfg());
-  std::vector<int> claimed(100, 0);
-  s.run([&](unsigned tid) {
-    if (tid == 0) q.refill(100);
-    // Every thread spins for the refill (cooperative: tid 0 runs first at
-    // cycle 0; give others a tiny offset so refill happens first).
-    s.advance(tid, 1 + tid);
-    for (;;) {
-      const auto t = q.pop(tid);
-      if (!t) break;
-      ++claimed[*t];
-      s.advance(tid, 17);
-    }
-  });
-  for (const int c : claimed) EXPECT_EQ(c, 1);
-}
-
-TEST(TaskQueueTest, PopOnEmptyReturnsNullopt) {
-  Scheduler s(1);
-  TaskQueue q(s, sync_cfg());
-  s.run([&](unsigned tid) {
-    EXPECT_FALSE(q.pop(tid).has_value());
-    q.refill(1);
-    EXPECT_TRUE(q.pop(tid).has_value());
-    EXPECT_FALSE(q.pop(tid).has_value());
-  });
-}
-
 }  // namespace
 }  // namespace dsm::sim

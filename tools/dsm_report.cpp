@@ -78,6 +78,7 @@
 #include <string>
 #include <vector>
 
+#include "coherence/fabric.hpp"
 #include "obs/trace.hpp"
 #include "report/record_reader.hpp"
 #include "report/renderer.hpp"
@@ -700,15 +701,6 @@ int cmd_resume(const std::vector<std::string>& args) {
   return 1;
 }
 
-/// DataSource names in coh::DataSource declaration order — kept as a
-/// local table because dsm_obs (the trace format owner) must not depend
-/// on dsm_coherence.
-const char* fill_source_name(unsigned source) {
-  static const char* kNames[] = {"L1",        "L2",          "LocalMem",
-                                 "RemoteMem", "RemoteCache", "Upgrade"};
-  return source < 6 ? kNames[source] : "?";
-}
-
 int cmd_trace(const std::vector<std::string>& args) {
   bool validate = false;
   std::string path;
@@ -804,7 +796,9 @@ int cmd_trace(const std::vector<std::string>& args) {
                     ",\"pid\":0,\"tid\":%u,\"args\":{\"line\":\"0x%" PRIx64
                     "\",\"write\":%u,\"source\":\"%s\",\"home\":%u}}",
                     sep, obs::trace_kind_name(ev.kind), ev.ts, ev.arg,
-                    ev.node, ev.addr, write, fill_source_name(source),
+                    ev.node, ev.addr, write,
+                    coh::data_source_name(
+                        static_cast<coh::DataSource>(source)),
                     ev.aux);
       } else {
         std::printf("%s{\"name\":\"%s\",\"cat\":\"coh\",\"ph\":\"i\","
