@@ -12,15 +12,16 @@
 // Output split: stdout carries the record-driven deterministic table
 // (the perf_hotpath renderer in src/report — byte-identical whether the
 // records are replayed live or by `dsm_report render`); wall-clock
-// numbers are a live-only measurement and go to stderr plus
-// BENCH_hotpath.json (override with --json=PATH), so perf PRs leave a
-// machine-readable trajectory. The `total_latency` / message/byte counts
+// numbers are a live-only measurement and go to stderr, plus the JSON
+// file --json=PATH names, so perf PRs can leave a machine-readable
+// trajectory. The `total_latency` / message/byte counts
 // per configuration are simulated results and must be bit-identical
 // across optimization PRs — only the wall-clock numbers may change.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -197,6 +198,7 @@ void write_json(const std::string& path, apps::Scale scale,
     f << buf;
   }
   f << "  ]\n}\n";
+  std::fprintf(stderr, "wrote %s\n", path.c_str());
 }
 
 }  // namespace
@@ -204,21 +206,19 @@ void write_json(const std::string& path, apps::Scale scale,
 int main(int argc, char** argv) {
   using namespace dsm;
   // --json=PATH is ours; everything else goes through the shared parser.
-  std::string json_path = "BENCH_hotpath.json";
-  bool json_set = false;
+  std::optional<std::string> json_path;  // no flag, no file
   std::vector<char*> args;
   args.reserve(static_cast<std::size_t>(argc));
   for (int i = 0; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
-      json_set = true;
     } else {
       args.push_back(argv[i]);
     }
   }
   auto res = bench::parse_options(static_cast<int>(args.size()), args.data());
   if (!res.ok) return bench::usage_error(res);
-  if (json_set && (res.options.shard_set || res.options.shards > 0)) {
+  if (json_path && (res.options.shard_set || res.options.shards > 0)) {
     // Sharded runs emit NDJSON records instead of the table/JSON outputs;
     // accepting --json and then writing nothing would silently break the
     // perf-trajectory contract the file documents.
@@ -299,7 +299,6 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr, "wall-clock (live-only, varies run to run):\n%s\n",
                wall.to_text().c_str());
-  write_json(json_path, opt.scale, accesses, results);
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
+  if (json_path) write_json(*json_path, opt.scale, accesses, results);
   return rc;
 }

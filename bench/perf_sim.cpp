@@ -10,13 +10,14 @@
 // record-driven deterministic table (simulated instructions / cycles /
 // intervals / network traffic — bit-identical across optimization PRs by
 // construction); wall-clock numbers are a live-only measurement and go
-// to stderr plus BENCH_sim.json (override with --json=PATH), with the
-// measuring host's cpu/cores/governor recorded alongside so trajectory
-// points from different machines stay interpretable.
+// to stderr, plus the JSON file --json=PATH names, with the measuring
+// host's cpu/cores/governor recorded alongside so trajectory points from
+// different machines stay interpretable.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,7 @@ void write_json(const std::string& path, apps::Scale scale,
     f << buf;
   }
   f << "  ]\n}\n";
+  std::fprintf(stderr, "wrote %s\n", path.c_str());
 }
 
 }  // namespace
@@ -109,21 +111,19 @@ void write_json(const std::string& path, apps::Scale scale,
 int main(int argc, char** argv) {
   using namespace dsm;
   // --json=PATH is ours; everything else goes through the shared parser.
-  std::string json_path = "BENCH_sim.json";
-  bool json_set = false;
+  std::optional<std::string> json_path;  // no flag, no file
   std::vector<char*> args;
   args.reserve(static_cast<std::size_t>(argc));
   for (int i = 0; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
-      json_set = true;
     } else {
       args.push_back(argv[i]);
     }
   }
   auto res = bench::parse_options(static_cast<int>(args.size()), args.data());
   if (!res.ok) return bench::usage_error(res);
-  if (json_set && (res.options.shard_set || res.options.shards > 0)) {
+  if (json_path && (res.options.shard_set || res.options.shards > 0)) {
     std::fprintf(stderr, "error: --json is not available in sharded runs "
                          "(the NDJSON stream carries the deterministic "
                          "counters)\n");
@@ -188,7 +188,6 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr, "wall-clock (live-only, varies run to run):\n%s\n",
                wall.to_text().c_str());
-  write_json(json_path, opt.scale, done_points, results);
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
+  if (json_path) write_json(*json_path, opt.scale, done_points, results);
   return rc;
 }

@@ -5,17 +5,6 @@
 
 namespace dsm::mem {
 
-const char* state_name(LineState s) {
-  switch (s) {
-    case LineState::kInvalid: return "I";
-    case LineState::kShared: return "S";
-    case LineState::kExclusive: return "E";
-    case LineState::kModified: return "M";
-    case LineState::kOwned: return "O";
-  }
-  return "?";
-}
-
 Cache::Cache(const CacheConfig& cfg)
     : cfg_(cfg),
       sets_(cfg.size_bytes /

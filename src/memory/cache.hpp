@@ -44,8 +44,6 @@ enum class LineState : std::uint8_t {
 /// Number of LineState values (transition tables index by state).
 inline constexpr unsigned kNumLineStates = 5;
 
-const char* state_name(LineState s);
-
 /// A line evicted to make room for an allocation.
 struct Victim {
   Addr line_addr = 0;  ///< line-aligned byte address
@@ -87,7 +85,6 @@ class Cache {
 
   unsigned line_bytes() const { return cfg_.line_bytes; }
   unsigned associativity() const { return cfg_.associativity; }
-  std::uint64_t num_sets() const { return sets_; }
   unsigned latency() const { return cfg_.latency_cycles; }
 
   /// Line-aligns a byte address.

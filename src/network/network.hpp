@@ -64,9 +64,6 @@ class Network {
   std::uint64_t total_messages() const;
   std::uint64_t total_bytes() const;
 
-  /// Flit-cycles capacity of one link per contention epoch.
-  double link_capacity_flits_per_epoch() const { return capacity_flits_; }
-
  private:
   unsigned flits_for(unsigned payload_bytes) const;
   /// Queueing term along the route without recording traffic (const: for

@@ -122,7 +122,6 @@ class MetricsRegistry {
   std::vector<std::uint64_t> histogram_values(const std::string& name) const;
 
   std::size_t num_counters() const { return counters_.size(); }
-  std::size_t num_histograms() const { return hists_.size(); }
 
   // ---- interval-scoped snapshots (the cheap epoch mechanism) ----
   //

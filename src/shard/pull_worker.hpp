@@ -50,7 +50,6 @@ class PullWorker {
   PullWorker& operator=(const PullWorker&) = delete;
 
   bool ok() const { return ok_; }
-  unsigned worker_id() const { return worker_id_; }
 
   /// Sends pull and blocks for the answer. Returns the next lease, or
   /// nullopt on fin (normal drain) — transport_lost() distinguishes a

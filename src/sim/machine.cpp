@@ -246,9 +246,7 @@ RunSummary Machine::run(const AppFn& app) {
     sum.net_bytes[c] = network_.bytes_sent(cls);
   }
   sum.barrier_episodes = global_barrier_.episodes();
-  sum.context_switches = sched_.context_switches();
   sum.barrier_wait_mean = global_barrier_.wait_stat().mean();
-  sum.barrier_wait_max = global_barrier_.wait_stat().max();
   sum.obs_json = obs_.snapshot_json();
   sum.obs_intervals_json = obs_.intervals_json();
   if (cfg_.obs.trace && !cfg_.obs.trace_path.empty()) {

@@ -52,9 +52,7 @@ struct RunSummary {
   std::uint64_t net_messages[net::kNumTrafficClasses] = {};
   std::uint64_t net_bytes[net::kNumTrafficClasses] = {};
   std::uint64_t barrier_episodes = 0;
-  std::uint64_t context_switches = 0;
   double barrier_wait_mean = 0.0;  ///< cycles per participant per episode
-  double barrier_wait_max = 0.0;
   /// Per-proc cycle breakdown: where the time went.
   std::vector<Cycle> mem_stall_cycles;
   std::vector<Cycle> compute_cycles;
@@ -94,7 +92,6 @@ class Machine {
   SimAllocator& allocator() { return alloc_; }
   phase::DdvFabric& ddv() { return ddv_; }
   Scheduler& scheduler() { return sched_; }
-  cpu::CoreModel& core(unsigned tid) { return *cores_.at(tid); }
 
  private:
   friend class ThreadCtx;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/assert.hpp"
 
@@ -37,17 +35,6 @@ void SimBarrier::wait(unsigned tid) {
   // Last arrival: release everyone at max arrival + cost.
   const Cycle release = max_arrival_ + release_cost();
   ++episodes_;
-  static const bool debug = std::getenv("DSM_BARRIER_DEBUG") != nullptr;
-  if (debug) {
-    Cycle min_arr = arrival;
-    for (const unsigned w : waiters_)
-      min_arr = std::min(min_arr, sched_->cycle(w));
-    if (max_arrival_ - min_arr > 500'000)
-      std::fprintf(stderr,
-                   "[barrier %llu] last=p%u span=%llu cycles\n",
-                   static_cast<unsigned long long>(episodes_), tid,
-                   static_cast<unsigned long long>(max_arrival_ - min_arr));
-  }
   for (const unsigned w : waiters_) {
     wait_stat_.add(static_cast<double>(release - sched_->cycle(w)));
     sched_->set_cycle(w, release);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "sim/thread_ctx.hpp"
 
@@ -149,6 +150,30 @@ TEST(MachineTest, DeterministicAcrossRuns) {
       EXPECT_EQ(a.procs[p].intervals[i].f, b.procs[p].intervals[i].f);
     }
   }
+}
+
+TEST(MachineTest, AppExceptionSurfacesFromRun) {
+  // Processor 1 throws while the others wait at the barrier: run() stops
+  // and rethrows on the caller's thread.
+  Machine m(small_cfg(4));
+  const auto app = [](ThreadCtx& ctx) {
+    if (ctx.self() == 1) {
+      const Addr base = ctx.alloc(1u << 12);
+      for (Addr a = 0; a < (1u << 12); a += 64) ctx.load(base + a);
+      throw std::runtime_error("boom");
+    }
+    ctx.barrier();
+  };
+  EXPECT_THROW(
+      {
+        try {
+          m.run(app);
+        } catch (const std::runtime_error& e) {
+          EXPECT_STREQ(e.what(), "boom");
+          throw;
+        }
+      },
+      std::runtime_error);
 }
 
 TEST(MachineTest, BbvSnapshotsReflectBlockMix) {

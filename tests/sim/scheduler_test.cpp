@@ -95,29 +95,38 @@ TEST(SchedulerTest, ContextSwitchesCounted) {
   EXPECT_GE(s.context_switches(), 8u);
 }
 
-TEST(SchedulerTest, OnlyRunnableDetectsLoneliness) {
-  Scheduler s(2);
-  bool observed = false;
-  s.run([&](unsigned tid) {
-    if (tid == 0) {
-      s.block(tid);
-    } else {
-      observed = s.only_runnable(tid);
-      s.unblock(0);
-    }
-  });
-  EXPECT_TRUE(observed);
-}
-
 TEST(SchedulerDeathTest, DeadlockAborts) {
-  // Every thread blocks and nobody unblocks: the coordinator must abort
-  // with a diagnostic rather than hang.
+  // Every thread blocks and nobody unblocks: run() must abort with a
+  // diagnostic rather than hang.
   EXPECT_DEATH(
       {
         Scheduler s(2);
         s.run([&](unsigned tid) { s.block(tid); });
       },
       "deadlock");
+}
+
+// At least 1 KiB of stack per call: the volatile frame is read after the
+// recursive call returns, so the compiler can neither fold the frames nor
+// turn the recursion into a loop.
+std::size_t recurse(std::size_t depth) {
+  volatile char frame[1024];
+  frame[0] = static_cast<char>(depth);
+  if (depth == 0) return 0;
+  return recurse(depth - 1) + static_cast<std::size_t>(frame[0]);
+}
+
+TEST(SchedulerDeathTest, StackOverflowHitsGuardPage) {
+  // Processor 1 needs about 1.5x its stack. Without the guard page below
+  // it, the overflow would write into processor 0's stack and return.
+  EXPECT_DEATH(
+      {
+        Scheduler s(2);
+        s.run([](unsigned tid) {
+          if (tid == 1) recurse(Scheduler::kStackBytes * 3 / 2 / 1024);
+        });
+      },
+      "");
 }
 
 }  // namespace
