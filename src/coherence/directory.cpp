@@ -41,7 +41,7 @@ DirEntry& Directory::entry(Addr line_addr) {
   DSM_ASSERT(line_addr != kEmptyKey);
   // Keep load below 1/2 before probing so the returned reference is not
   // invalidated by this call's own insert. Growth jumps 4x: a slice that
-  // outruns its pre-size is mid-warm-up, and quartering the rebuild count
+  // outgrows its table is mid-warm-up, and quartering the rebuild count
   // costs at most one doubling of the final table.
   if ((size_ + 1) * 2 > keys_.size()) rebuild(keys_.size() * 4);
   const std::size_t start = slot_of(line_addr);
@@ -115,6 +115,13 @@ void Directory::rebuild(std::size_t new_cap) {
     keys_[i] = old_keys[s];
     entries_[i] = old_entries[s];
   }
+}
+
+std::size_t Directory::sharer_bits() const {
+  std::size_t bits = 0;
+  for (std::size_t i = 0; i < keys_.size(); ++i)
+    if (keys_[i] != kEmptyKey) bits += entries_[i].sharer_count();
+  return bits;
 }
 
 void Directory::check_invariants() const {

@@ -38,28 +38,29 @@ struct DirEntry {
                  ///< forwarded from the owner instead of memory
   };
 
-  State state = State::kUncached;
+  // Widest field first: in this order the entry packs into 16 bytes
+  // (state first would pad it to 24).
   std::uint64_t sharers = 0;   ///< bitset over nodes (full-map)
   NodeId owner = kNoNode;      ///< valid when state == kExclusive/kOwned
+  State state = State::kUncached;
 
   bool is_sharer(NodeId n) const { return (sharers >> n) & 1u; }
   void add_sharer(NodeId n) { sharers |= (1ull << n); }
   void remove_sharer(NodeId n) { sharers &= ~(1ull << n); }
   unsigned sharer_count() const;
 };
+static_assert(sizeof(DirEntry) == 16);
 
 /// The directory slice held by one home node. Entries are created lazily;
 /// an absent entry means kUncached.
 class Directory {
  public:
-  /// `expected_lines` pre-sizes the slice: under uniform (round-robin
-  /// page) homing a slice tracks about one node's worth of L2 lines, so
-  /// the fabric passes cfg.l2 capacity in lines and the table starts at
-  /// its steady-state size — the warm-up growth rebuilds that used to
-  /// cost ~14% of the hot profile never happen. 0 keeps the small
-  /// default (tests, standalone slices). Growth past the pre-size (a
-  /// skewed homing distribution) rebuilds at 4x, not 2x, so even then
-  /// the rebuild count stays logarithmically small.
+  /// `expected_lines` pre-sizes the slice for a caller that knows how
+  /// many lines it will track (a microbenchmark that times lookups in a
+  /// table at steady size). 0, the default and what the fabric uses,
+  /// starts small: a slice grows with the lines actually cached, and
+  /// each growth rebuilds at 4x, so the rebuild count stays
+  /// logarithmically small.
   explicit Directory(NodeId home, std::size_t expected_lines = 0);
 
   NodeId home() const { return home_; }
@@ -93,6 +94,11 @@ class Directory {
   void erase(Addr line_addr);
 
   std::size_t tracked_lines() const { return size_; }
+
+  /// Sum of sharer_count() over the live entries: the number of
+  /// (node, line) pairs this slice attributes. O(capacity); for
+  /// invariant checks.
+  std::size_t sharer_bits() const;
 
   std::size_t capacity() const { return keys_.size(); }
 

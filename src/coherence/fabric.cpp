@@ -25,11 +25,7 @@ const char* data_source_name(DataSource s) {
 CoherenceFabric::Node::Node(const MachineConfig& cfg, NodeId id)
     : l1(cfg.l1),
       l2(cfg.l2),
-      // Pre-size the directory slice for its steady-state share: under
-      // round-robin page homing each slice tracks about one node's worth
-      // of cached (L1 ⊆ L2) lines. 2x headroom absorbs homing imbalance,
-      // so the growth rebuilds that used to dominate warm-up never run.
-      dir(id, (cfg.l2.size_bytes / cfg.l2.line_bytes) * 2),
+      dir(id),
       ctrl(cfg, id) {}
 
 CoherenceFabric::CoherenceFabric(const MachineConfig& cfg,
@@ -97,16 +93,12 @@ AccessOutcome CoherenceFabric::access(NodeId node, Addr addr, bool is_write,
   // set lanes and the home directory's probe slot are independent lines,
   // so putting them in flight now turns the walk below from a chain of
   // serialized misses into parallel ones. Hints only — no simulated
-  // state or timing changes. (peek_home keeps first-touch assignment
-  // where it always happened, in home_of below; an unassigned page has
-  // no directory slot to warm anyway.)
+  // state or timing changes.
   me.l2.prefetch_set(line);
-  const NodeId ph = home_map_->peek_home(line);
-  if (ph != kNoNode) nodes_[ph].dir.prefetch(line);
-
   AccessOutcome out;
   out.write = is_write;
   out.home = home_map_->home_of(line, node);
+  nodes_[out.home].dir.prefetch(line);
   if (is_write) ++me.stats.stores; else ++me.stats.loads;
 
   // ---- L1: one tag walk, reused below ----
@@ -599,13 +591,6 @@ Cycle CoherenceFabric::handle_l2_eviction(NodeId evictor, const mem::Victim& v,
   return 0;
 }
 
-void CoherenceFabric::flush_all() {
-  for (auto& n : nodes_) {
-    n.l1.flush();
-    n.l2.flush();
-  }
-}
-
 void CoherenceFabric::check_invariants() const {
   const unsigned n = static_cast<unsigned>(nodes_.size());
   // 1) L1 subset of L2 with compatible states, and no state the policy
@@ -626,40 +611,45 @@ void CoherenceFabric::check_invariants() const {
         DSM_ASSERT_MSG(s2 == LineState::kOwned, "O in L1 over non-O L2");
     }
   }
-  // 2) Directory agrees with the caches. Under MOESI this also enforces
+  // 2) Every cached copy is attributed by its home's directory, with a
+  //    compatible state: one walk per L2. Under MOESI this also enforces
   //    the single-Owner rule: two O copies of one line would each demand
   //    e.owner == themselves.
-  for (unsigned home = 0; home < n; ++home) {
-    // Walk every line any L2 holds whose home is this node.
-    for (unsigned p = 0; p < n; ++p) {
-      for (const Addr line : nodes_[p].l2.resident_lines()) {
-        if (home_map_->peek_home(line) != static_cast<NodeId>(home)) continue;
-        const DirEntry e = nodes_[home].dir.peek(line);
-        DSM_ASSERT_MSG(e.is_sharer(static_cast<NodeId>(p)),
-                       "cache holds line the directory does not attribute");
-        const LineState s = nodes_[p].l2.state(line);
-        DSM_ASSERT_MSG(state_allowed(*pol_, s),
-                       "L2 state unreachable under this protocol");
-        if (s == LineState::kExclusive || s == LineState::kModified) {
-          DSM_ASSERT_MSG(e.state == DirEntry::State::kExclusive &&
-                             e.owner == static_cast<NodeId>(p),
-                         "E/M copy without directory ownership");
-          DSM_ASSERT_MSG(e.sharer_count() == 1, "owner plus extra sharers");
-        } else if (s == LineState::kOwned) {
-          DSM_ASSERT_MSG(e.state == DirEntry::State::kOwned &&
-                             e.owner == static_cast<NodeId>(p),
-                         "O copy without directory kOwned ownership");
-        } else {
-          DSM_ASSERT_MSG(e.state == DirEntry::State::kShared ||
-                             e.state == DirEntry::State::kOwned,
-                         "S copy but directory not in Shared/Owned");
-          if (e.state == DirEntry::State::kOwned)
-            DSM_ASSERT_MSG(e.owner != static_cast<NodeId>(p),
-                           "registered owner holds S, not O");
-        }
+  std::size_t resident = 0;
+  for (NodeId p = 0; p < n; ++p) {
+    for (const Addr line : nodes_[p].l2.resident_lines()) {
+      ++resident;
+      const NodeId home = home_map_->peek_home(line);
+      DSM_ASSERT_MSG(home < n, "cached line has no home node");
+      const DirEntry e = nodes_[home].dir.peek(line);
+      DSM_ASSERT_MSG(e.is_sharer(p),
+                     "cache holds line the directory does not attribute");
+      const LineState s = nodes_[p].l2.state(line);
+      DSM_ASSERT_MSG(state_allowed(*pol_, s),
+                     "L2 state unreachable under this protocol");
+      if (s == LineState::kExclusive || s == LineState::kModified) {
+        DSM_ASSERT_MSG(e.state == DirEntry::State::kExclusive && e.owner == p,
+                       "E/M copy without directory ownership");
+        DSM_ASSERT_MSG(e.sharer_count() == 1, "owner plus extra sharers");
+      } else if (s == LineState::kOwned) {
+        DSM_ASSERT_MSG(e.state == DirEntry::State::kOwned && e.owner == p,
+                       "O copy without directory kOwned ownership");
+      } else {
+        DSM_ASSERT_MSG(e.state == DirEntry::State::kShared ||
+                           e.state == DirEntry::State::kOwned,
+                       "S copy but directory not in Shared/Owned");
+        if (e.state == DirEntry::State::kOwned)
+          DSM_ASSERT_MSG(e.owner != p, "registered owner holds S, not O");
       }
     }
   }
+  // 3) Every sharer bit is a cached copy: each copy above claimed a
+  //    distinct bit, so equal totals leave no bit naming a node that has
+  //    dropped the line.
+  std::size_t attributed = 0;
+  for (const Node& node : nodes_) attributed += node.dir.sharer_bits();
+  DSM_ASSERT_MSG(attributed == resident,
+                 "directory attributes a line no cache holds");
 }
 
 }  // namespace dsm::coh

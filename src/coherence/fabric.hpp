@@ -97,15 +97,12 @@ class CoherenceFabric {
   /// The protocol tables this fabric was constructed with.
   const CohPolicy& policy() const { return *pol_; }
 
-  /// Drops all cached state (between benchmark runs).
-  void flush_all();
-
   /// Verifies global coherence invariants (single owner, inclusive
-  /// hierarchy, directory/cache agreement), including the per-protocol
-  /// ones: no state the policy cannot install (no E under MSI, no O
-  /// outside MOESI), and every Owned line registered to exactly one
-  /// owner whose directory entry is kOwned. Aborts on violation. For
-  /// tests.
+  /// hierarchy, every sharer set equal to its line's holder set),
+  /// including the per-protocol ones: no state the policy cannot install
+  /// (no E under MSI, no O outside MOESI), and every Owned line
+  /// registered to exactly one owner whose directory entry is kOwned.
+  /// One walk per L2. Aborts on violation. For tests.
   void check_invariants() const;
 
  private:

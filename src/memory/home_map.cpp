@@ -31,25 +31,20 @@ NodeId HomeMap::policy_home(std::uint64_t page) const {
 
 NodeId HomeMap::home_of(Addr addr, NodeId accessor) {
   const std::uint64_t page = page_of(addr);
-  // Skip the hash probe entirely while no page has an explicit binding —
-  // on pure-policy runs this keeps the per-access path hash-free.
-  if (!explicit_.empty()) {
-    if (const auto it = explicit_.find(page); it != explicit_.end())
-      return it->second;
-  }
+  if (const NodeId bound = bound_home(page); bound != kNoNode) return bound;
   const NodeId policy_node = policy_home(page);
   if (policy_node != kNoNode) return policy_node;
   // First touch: bind now.
   DSM_ASSERT(accessor < nodes_);
-  explicit_.emplace(page, accessor);
+  cover(page);
+  bound_[page] = accessor;
   return accessor;
 }
 
 NodeId HomeMap::peek_home(Addr addr) const {
   const std::uint64_t page = page_of(addr);
-  if (const auto it = explicit_.find(page); it != explicit_.end())
-    return it->second;
-  return policy_home(page);
+  const NodeId bound = bound_home(page);
+  return bound != kNoNode ? bound : policy_home(page);
 }
 
 void HomeMap::place_range(Addr addr, std::uint64_t bytes, NodeId node) {
@@ -57,7 +52,8 @@ void HomeMap::place_range(Addr addr, std::uint64_t bytes, NodeId node) {
   if (bytes == 0) return;
   const std::uint64_t first = page_of(addr);
   const std::uint64_t last = page_of(addr + bytes - 1);
-  for (std::uint64_t p = first; p <= last; ++p) explicit_[p] = node;
+  cover(last);
+  for (std::uint64_t p = first; p <= last; ++p) bound_[p] = node;
 }
 
 void HomeMap::distribute_range(Addr addr, std::uint64_t bytes,
@@ -65,8 +61,9 @@ void HomeMap::distribute_range(Addr addr, std::uint64_t bytes,
   if (bytes == 0) return;
   const std::uint64_t first = page_of(addr);
   const std::uint64_t last = page_of(addr + bytes - 1);
+  cover(last);
   for (std::uint64_t p = first; p <= last; ++p)
-    explicit_[p] = static_cast<NodeId>((first_node + (p - first)) % nodes_);
+    bound_[p] = static_cast<NodeId>((first_node + (p - first)) % nodes_);
 }
 
 }  // namespace dsm::mem

@@ -4,7 +4,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -42,9 +42,6 @@ class HomeMap {
   /// `first_node` — how our apps emulate SPLASH-2-style data distribution.
   void distribute_range(Addr addr, std::uint64_t bytes, NodeId first_node = 0);
 
-  /// Number of pages with an explicit or first-touch binding.
-  std::size_t bound_pages() const { return explicit_.size(); }
-
  private:
   /// Called on every simulated access: shift when page_bytes is a power of
   /// two (the common case), divide otherwise.
@@ -52,13 +49,25 @@ class HomeMap {
     return page_shift_ >= 0 ? addr >> page_shift_ : addr / page_bytes_;
   }
   NodeId policy_home(std::uint64_t page) const;
+  /// Explicit or first-touch home of `page`; kNoNode when unbound.
+  NodeId bound_home(std::uint64_t page) const {
+    return page < bound_.size() ? bound_[page] : kNoNode;
+  }
+  /// Grows the page table to cover pages [0, last].
+  void cover(std::uint64_t last) {
+    if (last >= bound_.size()) bound_.resize(last + 1, kNoNode);
+  }
 
   unsigned nodes_;
   std::uint64_t page_bytes_;
   int page_shift_;  ///< log2(page_bytes) when a power of two, else -1
   Placement policy_;
   std::uint64_t block_pages_;
-  std::unordered_map<std::uint64_t, NodeId> explicit_;
+  /// Flat page table of explicit and first-touch bindings, indexed by
+  /// page (kNoNode: unbound, the policy decides). Bindings come from the
+  /// simulated allocator, which carves densely upward from a low base,
+  /// so the table stays as short as the highest bound page.
+  std::vector<NodeId> bound_;
 };
 
 }  // namespace dsm::mem

@@ -216,15 +216,6 @@ TEST(FabricTest, StatsCountsSourcesCorrectly) {
   EXPECT_EQ(r.fabric.stats(1).cache_to_cache, 1u);
 }
 
-TEST(FabricTest, FlushAllEmptiesCaches) {
-  Rig r(2);
-  r.fabric.access(0, homed_at(r, 0), true, 0);
-  r.fabric.access(1, homed_at(r, 1), false, 0);
-  r.fabric.flush_all();
-  EXPECT_TRUE(r.fabric.l2(0).resident_lines().empty());
-  EXPECT_TRUE(r.fabric.l2(1).resident_lines().empty());
-}
-
 // Randomized protocol fuzz: many nodes, few lines, random ops; invariants
 // must hold after every access.
 TEST(FabricTest, RandomizedInvariantFuzz) {
@@ -297,6 +288,50 @@ TEST(FabricTest, SingleNodeTracksExactlyResidentLines) {
               std::min<std::size_t>(i + 1, live_lines));
   }
   fabric.check_invariants();
+}
+
+// A slice's table grows with the lines its home tracks, not with the
+// modelled L2 capacity: a 32-node machine starts every slice at the small
+// default, and a slice that comes to track more than half of it grows.
+TEST(FabricTest, DirectorySlicesStartSmallAndGrow) {
+  Rig r(32);
+  for (NodeId h = 0; h < 32; ++h)
+    EXPECT_EQ(r.fabric.directory(h).capacity(), 1024u) << h;
+  // Every line of the first eight pages homed at node 0, read by node 1.
+  const Addr page = r.cfg.memory.page_bytes;
+  for (Addr p = 0; p < 8; ++p)
+    for (Addr off = 0; off < page; off += r.cfg.l2.line_bytes)
+      r.fabric.access(1, p * 32 * page + off, false, 0);
+  const Directory& dir = r.fabric.directory(0);
+  EXPECT_EQ(dir.tracked_lines(), 8 * page / r.cfg.l2.line_bytes);
+  EXPECT_GT(dir.tracked_lines(), 512u);
+  EXPECT_GT(dir.capacity(), 1024u);
+  dir.check_invariants();
+  r.fabric.check_invariants();
+}
+
+// A directory entry naming a node whose caches dropped the line: the
+// sharer bits outnumber the cached copies.
+TEST(FabricDeathTest, StaleDirectoryEntryFailsCheck) {
+  Rig r(4);
+  const Addr a = homed_at(r, 2);
+  r.fabric.access(0, a, true, 0);
+  r.fabric.l1(0).invalidate(a);
+  r.fabric.l2(0).invalidate(a);
+  EXPECT_DEATH(r.fabric.check_invariants(),
+               "directory attributes a line no cache holds");
+}
+
+// A cached copy its home's directory does not list as a sharer.
+TEST(FabricDeathTest, MissingSharerFailsCheck) {
+  Rig r(4);
+  const Addr a = homed_at(r, 3);
+  r.fabric.access(0, a, false, 0);
+  r.fabric.access(1, a, false, 10);
+  r.fabric.check_invariants();
+  r.fabric.directory(3).entry(a).remove_sharer(1);
+  EXPECT_DEATH(r.fabric.check_invariants(),
+               "cache holds line the directory does not attribute");
 }
 
 }  // namespace

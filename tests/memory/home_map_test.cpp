@@ -32,7 +32,7 @@ TEST(HomeMapTest, FirstTouchBindsToAccessor) {
   EXPECT_EQ(m.home_of(100, 2), 2u);    // first touch by node 2
   EXPECT_EQ(m.home_of(200, 3), 2u);    // sticks
   EXPECT_EQ(m.peek_home(0), 2u);
-  EXPECT_EQ(m.bound_pages(), 1u);
+  EXPECT_EQ(m.peek_home(kPage), kNoNode);  // only the touched page binds
 }
 
 TEST(HomeMapTest, ExplicitPlacementOverridesPolicy) {
@@ -73,7 +73,20 @@ TEST(HomeMapTest, ZeroByteRangesAreNoOps) {
   HomeMap m(4, kPage, Placement::kRoundRobin);
   m.place_range(0, 0, 3);
   m.distribute_range(0, 0, 1);
-  EXPECT_EQ(m.bound_pages(), 0u);
+  EXPECT_EQ(m.home_of(0, 0), 0u);  // still the policy's home
+}
+
+// The page table grows to the highest placed page. Pages placed before
+// keep their homes, and unbound pages inside the table follow the policy.
+TEST(HomeMapTest, PlacementBeyondTableGrowsIt) {
+  HomeMap m(4, kPage, Placement::kRoundRobin);
+  for (NodeId p = 0; p < 4; ++p) m.place_range(p * kPage, kPage, 3 - p);
+  m.place_range(5000 * kPage, kPage, 1);
+  for (NodeId p = 0; p < 4; ++p) EXPECT_EQ(m.home_of(p * kPage, 0), 3 - p);
+  EXPECT_EQ(m.home_of(4999 * kPage, 0), 4999u % 4);
+  EXPECT_EQ(m.home_of(5000 * kPage, 0), 1u);
+  m.place_range(5000 * kPage, kPage, 2);
+  EXPECT_EQ(m.home_of(5000 * kPage, 0), 2u);
 }
 
 TEST(HomeMapTest, AllHomesWithinNodeCount) {
