@@ -12,11 +12,13 @@
 // Output split: stdout carries the record-driven deterministic table
 // (the perf_hotpath renderer in src/report — byte-identical whether the
 // records are replayed live or by `dsm_report render`); wall-clock
-// numbers are a live-only measurement and go to stderr, plus the JSON
-// file --json=PATH names, so perf PRs can leave a machine-readable
-// trajectory. The `total_latency` / message/byte counts
-// per configuration are simulated results and must be bit-identical
-// across optimization PRs — only the wall-clock numbers may change.
+// numbers (the access loop's, and beside them the construction's, so
+// that work moved between the two shows) are a live-only measurement
+// and go to stderr, plus the JSON file --json=PATH names, so perf PRs
+// can leave a machine-readable trajectory. The `total_latency` /
+// message/byte counts per configuration are simulated results and must
+// be bit-identical across optimization PRs — only the wall-clock numbers
+// may change.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -46,7 +48,10 @@ struct HotConfig {
 struct HotResult {
   HotConfig cfg{};
   std::uint64_t accesses = 0;
-  double seconds = 0.0;
+  double seconds = 0.0;  ///< the access loop
+  /// Building the fabric, network and home map before the loop, reported
+  /// beside it so that work moved between the two shows.
+  double setup_seconds = 0.0;
   // Deterministic simulation checksums — identical before/after any
   // mechanical strength-reduction of the hot path.
   std::uint64_t total_latency = 0;
@@ -98,6 +103,7 @@ struct HotReq {
 
 HotResult time_config(const HotConfig& hc, std::uint64_t accesses,
                       const ObsConfig& obs_cfg) {
+  const auto t_setup = std::chrono::steady_clock::now();
   MachineConfig cfg = default_config(hc.nodes);
   cfg.network.topology = hc.topo;
   // Fabric-level driver, no Machine: construct the observability layer
@@ -148,6 +154,7 @@ HotResult time_config(const HotConfig& hc, std::uint64_t accesses,
   };
 
   const auto t0 = std::chrono::steady_clock::now();
+  res.setup_seconds = std::chrono::duration<double>(t0 - t_setup).count();
   Cycle now = 0;
   for (std::uint64_t i = 0; i < accesses; ++i) {
     const HotReq rq = next_req(i);
@@ -187,10 +194,11 @@ void write_json(const std::string& path, apps::Scale scale,
     std::snprintf(buf, sizeof(buf),
                   "    {\"topology\": \"%s\", \"nodes\": %u, "
                   "\"ops_per_sec\": %.0f, \"ns_per_access\": %.1f, "
+                  "\"setup_s\": %.6f, "
                   "\"total_latency\": %llu, \"net_messages\": %llu, "
                   "\"net_bytes\": %llu}%s\n",
                   topology_name(r.cfg.topo), r.cfg.nodes,
-                  r.ops_per_sec(), r.ns_per_access(),
+                  r.ops_per_sec(), r.ns_per_access(), r.setup_seconds,
                   static_cast<unsigned long long>(r.total_latency),
                   static_cast<unsigned long long>(r.net_messages),
                   static_cast<unsigned long long>(r.net_bytes),
@@ -291,11 +299,14 @@ int main(int argc, char** argv) {
       });
   if (stream) return rc;
 
-  TableWriter wall({"topology", "nodes", "Maccess/s", "ns/access"});
+  TableWriter wall(
+      {"topology", "nodes", "Maccess/s", "ns/access", "loop s", "setup s"});
   for (const auto& r : results) {
     wall.add_row({topology_name(r.cfg.topo), std::to_string(r.cfg.nodes),
                   TableWriter::fmt(r.ops_per_sec() / 1e6, 3),
-                  TableWriter::fmt(r.ns_per_access(), 4)});
+                  TableWriter::fmt(r.ns_per_access(), 4),
+                  TableWriter::fmt(r.seconds, 4),
+                  TableWriter::fmt(r.setup_seconds, 4)});
   }
   std::fprintf(stderr, "wall-clock (live-only, varies run to run):\n%s\n",
                wall.to_text().c_str());

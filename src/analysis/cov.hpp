@@ -20,12 +20,15 @@ struct PhaseStat {
   double cov_cpi = 0.0;
 };
 
-/// Per-phase breakdown for a classified trace.
+/// Per-phase breakdown for a classified trace, in ascending phase id.
+/// Ids index a vector, so they must be >= 0 and are expected dense, as
+/// a footprint table issues them.
 std::vector<PhaseStat> per_phase_stats(
     const std::vector<phase::IntervalRecord>& trace,
     std::span<const PhaseId> assignment);
 
-/// Identifier CoV of CPI: interval-weighted mean of per-phase CoVs.
+/// Identifier CoV of CPI: interval-weighted mean of per-phase CoVs,
+/// summed in ascending phase id (same id requirement as above).
 double identifier_cov(const std::vector<phase::IntervalRecord>& trace,
                       std::span<const PhaseId> assignment);
 

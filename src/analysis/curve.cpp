@@ -62,74 +62,92 @@ double sweep_frac(unsigned k, unsigned steps) {
   return f * f;
 }
 
-CurvePoint evaluate(const std::vector<phase::ProcessorTrace>& procs,
-                    bool use_dds, std::uint64_t bbv_thr, double dds_frac,
-                    const CurveParams& p) {
-  CurvePoint pt;
-  pt.thresholds.bbv = bbv_thr;
-  double sum_cov = 0.0, sum_phases = 0.0, sum_tuning = 0.0;
+/// Relative DDS setting of grid column `j`, which a grid point records.
+double dds_frac(unsigned j, unsigned steps) {
+  return steps <= 1 ? 1.0 : static_cast<double>(j) / (steps - 1);
+}
+
+/// Replays every processor's trace at each (bbv_sweep x dds_sweep)
+/// setting and averages across processors, one point per setting, DDS
+/// varying fastest (BBV-only: one DDS column, threshold 0). Processors
+/// are the outer loop, so one distance matrix is alive at a time and each
+/// point still adds its processors in order.
+std::vector<CurvePoint> replay_sweep(
+    const std::vector<phase::ProcessorTrace>& procs, const CurveParams& p,
+    bool use_dds) {
+  const std::vector<std::uint64_t> bbv = bbv_sweep(p);
+  const std::size_t cols = use_dds ? p.dds_steps : 1;
+  std::vector<CurvePoint> out(bbv.size() * cols);
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    out[k].thresholds.bbv = bbv[k / cols];
+    // A grid point stores its relative DDS setting.
+    if (use_dds) out[k].thresholds.dds = dds_frac(k % cols, p.dds_steps);
+  }
+  // The mean fields hold sums over processors until the division below.
   unsigned counted = 0;
   for (const auto& proc : procs) {
-    if (proc.intervals.empty()) continue;
-    phase::Thresholds t;
-    t.bbv = bbv_thr;
-    t.dds = use_dds ? dds_threshold_at(dds_scale(proc.intervals), dds_frac)
-                    : 0.0;
-    const auto cls = classify_trace(proc.intervals, use_dds,
-                                    p.footprint_capacity, t);
-    sum_cov += identifier_cov(proc.intervals, cls.assignment);
-    sum_phases += cls.distinct_phases;
-    sum_tuning +=
-        std::min(1.0, static_cast<double>(cls.distinct_phases) *
-                          p.tuning_trials / proc.intervals.size());
+    const auto& trace = proc.intervals;
+    if (trace.empty()) continue;
     ++counted;
+    const std::vector<double> dds =
+        use_dds ? dds_sweep(trace, p) : std::vector<double>{0.0};
+    TraceReplay replay(trace, use_dds, p.footprint_capacity);
+    for (std::size_t i = 0; i < bbv.size(); ++i) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        const auto& cls = replay.classify({.bbv = bbv[i], .dds = dds[j]});
+        CurvePoint& pt = out[i * cols + j];
+        pt.mean_cov += identifier_cov(trace, cls.assignment);
+        pt.mean_phases += cls.distinct_phases;
+        pt.tuning_fraction +=
+            std::min(1.0, static_cast<double>(cls.distinct_phases) *
+                              p.tuning_trials / trace.size());
+      }
+    }
   }
   if (counted > 0) {
-    pt.mean_cov = sum_cov / counted;
-    pt.mean_phases = sum_phases / counted;
-    pt.tuning_fraction = sum_tuning / counted;
+    for (auto& pt : out) {
+      pt.mean_cov /= counted;
+      pt.mean_phases /= counted;
+      pt.tuning_fraction /= counted;
+    }
   }
-  return pt;
+  return out;
 }
 
 }  // namespace
 
-std::vector<CurvePoint> bbv_cov_curve(
-    const std::vector<phase::ProcessorTrace>& procs, const CurveParams& p) {
-  std::vector<CurvePoint> out;
+std::vector<std::uint64_t> bbv_sweep(const CurveParams& p) {
+  std::vector<std::uint64_t> out;
   out.reserve(p.bbv_steps);
   const double max_dist = 2.0 * p.bbv_norm;
-  for (unsigned k = 0; k < p.bbv_steps; ++k) {
-    const auto thr =
-        static_cast<std::uint64_t>(sweep_frac(k, p.bbv_steps) * max_dist);
-    out.push_back(evaluate(procs, /*use_dds=*/false, thr, 0.0, p));
-  }
+  for (unsigned k = 0; k < p.bbv_steps; ++k)
+    out.push_back(
+        static_cast<std::uint64_t>(sweep_frac(k, p.bbv_steps) * max_dist));
   return out;
+}
+
+std::vector<double> dds_sweep(const std::vector<phase::IntervalRecord>& trace,
+                              const CurveParams& p) {
+  const DdsScale s = dds_scale(trace);
+  std::vector<double> out;
+  out.reserve(p.dds_steps);
+  for (unsigned j = 0; j < p.dds_steps; ++j)
+    out.push_back(dds_threshold_at(s, dds_frac(j, p.dds_steps)));
+  return out;
+}
+
+std::vector<CurvePoint> bbv_cov_curve(
+    const std::vector<phase::ProcessorTrace>& procs, const CurveParams& p) {
+  return replay_sweep(procs, p, /*use_dds=*/false);
 }
 
 std::vector<CurvePoint> bbv_ddv_cov_points(
     const std::vector<phase::ProcessorTrace>& procs, const CurveParams& p) {
-  std::vector<CurvePoint> out;
   // Full bbv resolution on one axis and the dds sweep on the other. The
   // dds sweep includes frac == 1.0 (threshold = the full observed DDS
   // range), which degenerates to the BBV baseline — so the lower envelope
   // of this grid can never lie above the baseline curve.
-  const unsigned bbv_steps = p.bbv_steps;
-  out.reserve(static_cast<std::size_t>(bbv_steps) * p.dds_steps);
-  const double max_dist = 2.0 * p.bbv_norm;
-  for (unsigned i = 0; i < bbv_steps; ++i) {
-    const auto bbv_thr =
-        static_cast<std::uint64_t>(sweep_frac(i, bbv_steps) * max_dist);
-    for (unsigned j = 0; j < p.dds_steps; ++j) {
-      const double dds_frac =
-          p.dds_steps <= 1 ? 1.0
-                           : static_cast<double>(j) / (p.dds_steps - 1);
-      auto pt = evaluate(procs, /*use_dds=*/true, bbv_thr, dds_frac, p);
-      pt.thresholds.dds = dds_frac;  // stored as the relative setting
-      out.push_back(pt);
-    }
-  }
-  return out;
+  return replay_sweep(procs, p, /*use_dds=*/true);
 }
 
 std::vector<CurvePoint> lower_envelope(std::vector<CurvePoint> points) {

@@ -39,6 +39,16 @@ struct CurveParams {
   std::uint32_t bbv_norm = 1u << 16;
 };
 
+/// The BBV thresholds both curves sweep: bbv_steps values, quadratic over
+/// 0 .. 2 * bbv_norm (dense where phase counts change fastest).
+std::vector<std::uint64_t> bbv_sweep(const CurveParams& p);
+
+/// The DDS thresholds the BBV+DDV grid sweeps for one processor's trace:
+/// dds_steps values, geometric from half its DDS noise floor to its full
+/// DDS range (the last one disables the DDS constraint).
+std::vector<double> dds_sweep(const std::vector<phase::IntervalRecord>& trace,
+                              const CurveParams& p);
+
 /// BBV-only curve over all processors' traces.
 std::vector<CurvePoint> bbv_cov_curve(
     const std::vector<phase::ProcessorTrace>& procs, const CurveParams& p);

@@ -7,21 +7,24 @@
 
 namespace dsm::phase {
 
-FootprintTable::FootprintTable(unsigned capacity, bool use_dds)
+template <class Source>
+BasicFootprintTable<Source>::BasicFootprintTable(unsigned capacity,
+                                                 bool use_dds)
     : capacity_(capacity), use_dds_(use_dds) {
   DSM_ASSERT(capacity_ > 0);
   entries_.reserve(capacity_);
 }
 
-Classification FootprintTable::classify(const BbvVector& bbv, double dds,
-                                        std::uint64_t bbv_threshold,
-                                        double dds_threshold) {
+template <class Source>
+Classification BasicFootprintTable<Source>::classify(
+    const Source& interval, double dds, std::uint64_t bbv_threshold,
+    double dds_threshold) {
   Classification out;
 
   Entry* best = nullptr;
   std::uint64_t best_dist = std::numeric_limits<std::uint64_t>::max();
   for (auto& e : entries_) {
-    const std::uint64_t d = manhattan_capped(bbv, e.bbv, bbv_threshold);
+    const std::uint64_t d = interval.distance(e.key, bbv_threshold);
     if (d > bbv_threshold) continue;
     if (use_dds_ && std::abs(dds - e.dds) > dds_threshold) continue;
     if (d < best_dist) {
@@ -48,7 +51,7 @@ Classification FootprintTable::classify(const BbvVector& bbv, double dds,
       if (e.lru < slot->lru) slot = &e;
     ++replacements_;
   }
-  slot->bbv = bbv;
+  slot->key = interval.key();
   slot->dds = dds;
   slot->phase = next_phase_++;
   slot->lru = ++tick_;
@@ -58,11 +61,15 @@ Classification FootprintTable::classify(const BbvVector& bbv, double dds,
   return out;
 }
 
-void FootprintTable::reset() {
+template <class Source>
+void BasicFootprintTable<Source>::reset() {
   entries_.clear();
   tick_ = 0;
   next_phase_ = 0;
   replacements_ = 0;
 }
+
+template class BasicFootprintTable<BbvSource>;
+template class BasicFootprintTable<RowSource>;
 
 }  // namespace dsm::phase

@@ -475,6 +475,8 @@ class Fleet {
       if (!line) break;
       handle_line(i, *line, true);
     }
+    if (s.fd >= 0 && s.frames.oversized())
+      reap(i, "sent a frame over the length limit");
   }
 
   // --- event loop -------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -20,10 +21,12 @@ void FrameSplitter::feed(const char* data, std::size_t n) {
 }
 
 std::optional<std::string> FrameSplitter::next() {
-  const std::size_t nl = buf_.find('\n');
-  if (nl == std::string::npos) return std::nullopt;
+  const std::size_t nl = buf_.find('\n', scanned_);
+  scanned_ = std::min(nl, buf_.size());
+  if (nl == std::string::npos || oversized()) return std::nullopt;
   std::string line = buf_.substr(0, nl);
   buf_.erase(0, nl + 1);
+  scanned_ = 0;
   return line;
 }
 
@@ -58,6 +61,7 @@ bool FdTransport::recv_line(std::string* line) {
       *line = std::move(*got);
       return true;
     }
+    if (splitter_.oversized()) return false;
     char buf[4096];
     const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
     if (n == 0) return false;  // EOF; eof_truncated() reports a partial

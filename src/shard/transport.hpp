@@ -14,7 +14,9 @@
 // complete lines. A connection that dies mid-line leaves a partial frame
 // behind, which the coordinator reports as a *truncated* record — the
 // same recoverable diagnostic a crashed worker's file store gets — and
-// discards rather than merging.
+// discards rather than merging. A peer that sends a frame longer than
+// FrameSplitter::kMaxFrameBytes is dropped the same way, so a TCP peer
+// cannot make the coordinator buffer without bound.
 #pragma once
 
 #include <cstddef>
@@ -27,12 +29,26 @@ namespace dsm::shard {
 /// Incremental splitter of a byte stream into '\n'-terminated lines.
 class FrameSplitter {
  public:
+  /// Longest frame (line, without its '\n') a peer may send: 64 MiB,
+  /// 3.8x the largest record line the harnesses emit, 17.5 MB (fig2 or
+  /// fig4 FMM/32 at --scale=bench with --obs-intervals, nearly all of it
+  /// the interval timeline, whose length does not grow with --scale).
+  /// Without --obs-intervals record lines stay under 64 KB.
+  static constexpr std::size_t kMaxFrameBytes = std::size_t{64} << 20;
+
   /// Appends raw bytes from the connection.
   void feed(const char* data, std::size_t n);
 
   /// Pops the next complete line (without its '\n'), or nullopt when no
-  /// full line is buffered yet.
+  /// full line is buffered yet or the next frame is oversized(). The
+  /// search for '\n' resumes where the previous call stopped, so a long
+  /// line arriving in small reads is scanned once.
   std::optional<std::string> next();
+
+  /// True once the frame at the head of the buffer is known to exceed
+  /// kMaxFrameBytes (after next() returned nullopt). It stays true: the
+  /// stream cannot be resynchronised, so the peer must be dropped.
+  bool oversized() const { return scanned_ > kMaxFrameBytes; }
 
   /// True when bytes of an unterminated line remain — after EOF this
   /// means the peer died mid-record (a truncated frame).
@@ -43,6 +59,7 @@ class FrameSplitter {
 
  private:
   std::string buf_;
+  std::size_t scanned_ = 0;  ///< leading bytes of buf_ known to hold no '\n'
 };
 
 /// Blocking line transport over a connected stream fd. Worker-side: the
@@ -68,12 +85,13 @@ class FdTransport {
   /// terminator).
   bool send_raw(const std::string& bytes);
 
-  /// Blocks for the next complete line. Returns false on EOF or error;
+  /// Blocks for the next complete line. Returns false on EOF, on error,
+  /// or once the peer sends a frame over FrameSplitter::kMaxFrameBytes;
   /// eof_truncated() then tells whether the stream died mid-line.
   bool recv_line(std::string* line);
 
   /// After recv_line returned false: true when unterminated bytes were
-  /// pending (the peer died mid-record).
+  /// pending (the peer died mid-record, or its frame was oversized).
   bool eof_truncated() const { return splitter_.has_partial(); }
 
  private:

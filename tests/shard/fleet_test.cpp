@@ -2,10 +2,11 @@
 // with scripted in-process "workers" speaking the pull protocol over real
 // socketpairs: happy-path merge, worker death mid-sweep (byte-identical
 // recovery — the acceptance bar), duplicate-record discard, truncated
-// frames, resume-from-store leasing only the gaps, the lease ledger, the
-// empty sweep, and a hello that arrives after the sweep is done. No forks,
-// no sleeps: deaths are socket closes, orderings are latches, and the
-// default 30 s heartbeat deadline never fires in a sub-second test.
+// and oversized frames, resume-from-store leasing only the gaps, the
+// lease ledger, the empty sweep, and a hello that arrives after the sweep
+// is done. No forks, no sleeps: deaths are socket closes, orderings are
+// latches, and the default 30 s heartbeat deadline never fires in a
+// sub-second test.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -15,6 +16,7 @@
 #include <functional>
 #include <latch>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -206,6 +208,40 @@ TEST(FleetTest, TruncatedDeathFrameIsDiscardedNotMerged) {
   const auto run = run_scripted_fleet(8, {truncates, {}});
   EXPECT_EQ(run.rc, 0);
   EXPECT_EQ(run.output, expected_output(8));
+}
+
+TEST(FleetTest, OversizedFrameDropsTheWorkerLikeADeath) {
+  // The flooder takes a lease, streams a frame past the cap and waits for
+  // the coordinator. With no heartbeat deadline to end the wait, only the
+  // cap can: the coordinator must drop the flooder, release its lease to
+  // the survivor and still merge the exact bytes.
+  constexpr std::size_t kTotal = 6;
+  std::latch leased(1);
+  const WorkerFn flooder = [&leased](int fd) {
+    FdTransport t(fd);
+    std::string line;
+    std::optional<FleetMsg> lease;
+    if (t.send_line(format_hello(kBench, kTotal)) && t.recv_line(&line) &&
+        t.send_line(format_pull()) && t.recv_line(&line))
+      lease = parse_fleet_msg(line);
+    leased.count_down();
+    if (!lease || lease->type != FleetMsg::Type::kLease) return;
+    const std::string chunk(std::size_t{1} << 20, 'x');
+    for (std::size_t sent = 0; sent <= FrameSplitter::kMaxFrameBytes;
+         sent += chunk.size())
+      if (!t.send_raw(chunk)) return;
+    t.recv_line(&line);  // returns once the coordinator closes the socket
+  };
+  WorkerScript survivor;
+  survivor.hello_gate = &leased;
+  FleetOptions opt;
+  opt.tuning.heartbeat_deadline_ms = 3'600'000;
+  const auto run = run_fleet_with(
+      {flooder,
+       [&survivor](int fd) { run_worker(fd, kTotal, survivor); }},
+      opt);
+  EXPECT_EQ(run.rc, 0);
+  EXPECT_EQ(run.output, expected_output(kTotal));
 }
 
 TEST(FleetTest, EmptySweepFinsEveryoneAndSucceeds) {

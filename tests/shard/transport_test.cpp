@@ -1,12 +1,14 @@
 // transport_test.cpp — the fleet's byte layer: FrameSplitter reassembly
-// across arbitrary chunk boundaries, FdTransport round trips over a real
-// socketpair, truncated-EOF detection (peer died mid-line), endpoint
-// parsing, and a TCP loopback connect/accept cycle.
+// across arbitrary chunk boundaries, its resumed '\n' search and frame
+// length cap, FdTransport round trips over a real socketpair,
+// truncated-EOF detection (peer died mid-line), endpoint parsing, and a
+// TCP loopback connect/accept cycle.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 
@@ -44,6 +46,64 @@ TEST(FrameSplitterTest, EmptyLinesAreRealLines) {
   EXPECT_EQ(s.next().value_or("?"), "");
   EXPECT_EQ(s.next().value_or("?"), "");
   EXPECT_EQ(s.next().value_or(""), "x");
+}
+
+TEST(FrameSplitterTest, SearchRestartsAtEachNewLine) {
+  FrameSplitter s;
+  s.feed("ab", 2);
+  EXPECT_FALSE(s.next().has_value());  // two bytes searched, no '\n'
+  s.feed("\nc\nd", 4);
+  EXPECT_EQ(s.next().value_or("?"), "ab");
+  // The next line's '\n' sits before where the first search stopped.
+  EXPECT_EQ(s.next().value_or("?"), "c");
+  EXPECT_FALSE(s.next().has_value());
+  EXPECT_EQ(s.partial(), "d");
+}
+
+TEST(FrameSplitterTest, LongLineInSmallReadsIsScannedOnce) {
+  // 4 MiB in 64-byte reads with a next() after each, as recv_line does.
+  // Resuming the search reads each byte once (milliseconds); rescanning
+  // the buffer after every read would read ~137 GB, several seconds even
+  // at memchr speed.
+  FrameSplitter s;
+  const std::string chunk(64, 'x');
+  constexpr std::size_t kLine = std::size_t{4} << 20;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t fed = 0; fed < kLine; fed += chunk.size()) {
+    s.feed(chunk.data(), chunk.size());
+    ASSERT_FALSE(s.next().has_value());
+  }
+  s.feed("\n", 1);
+  const auto line = s.next();
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - t0;
+  ASSERT_TRUE(line.has_value());
+  EXPECT_EQ(line->size(), kLine);
+  EXPECT_FALSE(s.oversized());
+  EXPECT_LT(took.count(), 2.0);
+}
+
+TEST(FdTransportTest, OversizedFrameFailsTheReceive) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  FdTransport a(sv[0]);
+  // One byte over the cap, then the terminator. The receiver must give up
+  // instead of buffering the frame; closing its end then fails the
+  // sender's remaining sends.
+  std::thread sender([&a] {
+    const std::string chunk(std::size_t{1} << 20, 'x');
+    for (std::size_t sent = 0; sent < FrameSplitter::kMaxFrameBytes;
+         sent += chunk.size())
+      if (!a.send_raw(chunk)) return;
+    a.send_raw("x\n");
+  });
+  {
+    FdTransport b(sv[1]);
+    std::string line;
+    EXPECT_FALSE(b.recv_line(&line));
+    EXPECT_TRUE(b.eof_truncated());
+  }
+  sender.join();
 }
 
 TEST(FdTransportTest, RoundTripsLinesOverSocketpair) {
