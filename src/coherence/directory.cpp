@@ -117,13 +117,6 @@ void Directory::rebuild(std::size_t new_cap) {
   }
 }
 
-std::size_t Directory::sharer_bits() const {
-  std::size_t bits = 0;
-  for (std::size_t i = 0; i < keys_.size(); ++i)
-    if (keys_[i] != kEmptyKey) bits += entries_[i].sharer_count();
-  return bits;
-}
-
 void Directory::check_invariants() const {
   const std::size_t cap = keys_.size();
   DSM_ASSERT_MSG(is_pow2(cap), "slice capacity must be a power of two");

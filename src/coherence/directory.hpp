@@ -95,10 +95,13 @@ class Directory {
 
   std::size_t tracked_lines() const { return size_; }
 
-  /// Sum of sharer_count() over the live entries: the number of
-  /// (node, line) pairs this slice attributes. O(capacity); for
-  /// invariant checks.
-  std::size_t sharer_bits() const;
+  /// Calls fn(line, entry) for every live entry, in slot order.
+  /// O(capacity); for invariant checks.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (std::size_t i = 0; i < keys_.size(); ++i)
+      if (keys_[i] != kEmptyKey) fn(keys_[i], entries_[i]);
+  }
 
   std::size_t capacity() const { return keys_.size(); }
 

@@ -90,7 +90,7 @@ AccessOutcome CoherenceFabric::access(NodeId node, Addr addr, bool is_write,
   const Addr line = me.l2.line_of(addr);
 
   // Overlap the host-memory misses this access is about to take: the L2
-  // set lanes and the home directory's probe slot are independent lines,
+  // set record and the home directory's probe slot are independent lines,
   // so putting them in flight now turns the walk below from a chain of
   // serialized misses into parallel ones. Hints only — no simulated
   // state or timing changes.
@@ -611,45 +611,48 @@ void CoherenceFabric::check_invariants() const {
         DSM_ASSERT_MSG(s2 == LineState::kOwned, "O in L1 over non-O L2");
     }
   }
-  // 2) Every cached copy is attributed by its home's directory, with a
-  //    compatible state: one walk per L2. Under MOESI this also enforces
-  //    the single-Owner rule: two O copies of one line would each demand
-  //    e.owner == themselves.
-  std::size_t resident = 0;
-  for (NodeId p = 0; p < n; ++p) {
-    for (const Addr line : nodes_[p].l2.resident_lines()) {
-      ++resident;
-      const NodeId home = home_map_->peek_home(line);
-      DSM_ASSERT_MSG(home < n, "cached line has no home node");
-      const DirEntry e = nodes_[home].dir.peek(line);
-      DSM_ASSERT_MSG(e.is_sharer(p),
-                     "cache holds line the directory does not attribute");
-      const LineState s = nodes_[p].l2.state(line);
-      DSM_ASSERT_MSG(state_allowed(*pol_, s),
-                     "L2 state unreachable under this protocol");
-      if (s == LineState::kExclusive || s == LineState::kModified) {
-        DSM_ASSERT_MSG(e.state == DirEntry::State::kExclusive && e.owner == p,
-                       "E/M copy without directory ownership");
-        DSM_ASSERT_MSG(e.sharer_count() == 1, "owner plus extra sharers");
-      } else if (s == LineState::kOwned) {
-        DSM_ASSERT_MSG(e.state == DirEntry::State::kOwned && e.owner == p,
-                       "O copy without directory kOwned ownership");
-      } else {
-        DSM_ASSERT_MSG(e.state == DirEntry::State::kShared ||
-                           e.state == DirEntry::State::kOwned,
-                       "S copy but directory not in Shared/Owned");
-        if (e.state == DirEntry::State::kOwned)
-          DSM_ASSERT_MSG(e.owner != p, "registered owner holds S, not O");
-      }
-    }
+  // 2) Every sharer bit names a cached copy with a compatible state. The
+  //    walk visits only the lines some cache holds (a slice tracks
+  //    exactly those), so it never reads an L2 set the run left
+  //    untouched. Under MOESI this also enforces the single-Owner rule:
+  //    two O copies of one line would each demand e.owner == themselves.
+  std::uint64_t attributed = 0;
+  for (NodeId h = 0; h < n; ++h) {
+    nodes_[h].dir.for_each([&](Addr line, const DirEntry& e) {
+      DSM_ASSERT_MSG(home_map_->peek_home(line) == h,
+                     "directory entry away from the line's home");
+      for_each_set_bit(e.sharers, [&](unsigned p) {
+        ++attributed;
+        DSM_ASSERT_MSG(p < n, "directory attributes a line no cache holds");
+        const LineState s = nodes_[p].l2.state(line);
+        DSM_ASSERT_MSG(s != LineState::kInvalid,
+                       "directory attributes a line no cache holds");
+        DSM_ASSERT_MSG(state_allowed(*pol_, s),
+                       "L2 state unreachable under this protocol");
+        if (s == LineState::kExclusive || s == LineState::kModified) {
+          DSM_ASSERT_MSG(
+              e.state == DirEntry::State::kExclusive && e.owner == p,
+              "E/M copy without directory ownership");
+          DSM_ASSERT_MSG(e.sharer_count() == 1, "owner plus extra sharers");
+        } else if (s == LineState::kOwned) {
+          DSM_ASSERT_MSG(e.state == DirEntry::State::kOwned && e.owner == p,
+                         "O copy without directory kOwned ownership");
+        } else {
+          DSM_ASSERT_MSG(e.state == DirEntry::State::kShared ||
+                             e.state == DirEntry::State::kOwned,
+                         "S copy but directory not in Shared/Owned");
+          if (e.state == DirEntry::State::kOwned)
+            DSM_ASSERT_MSG(e.owner != p, "registered owner holds S, not O");
+        }
+      });
+    });
   }
-  // 3) Every sharer bit is a cached copy: each copy above claimed a
-  //    distinct bit, so equal totals leave no bit naming a node that has
-  //    dropped the line.
-  std::size_t attributed = 0;
-  for (const Node& node : nodes_) attributed += node.dir.sharer_bits();
-  DSM_ASSERT_MSG(attributed == resident,
-                 "directory attributes a line no cache holds");
+  // 3) Every cached copy is attributed: each bit above named a distinct
+  //    copy, so equal totals leave no copy its directory does not list.
+  std::uint64_t resident = 0;
+  for (const Node& node : nodes_) resident += node.l2.resident_count();
+  DSM_ASSERT_MSG(resident == attributed,
+                 "cache holds line the directory does not attribute");
 }
 
 }  // namespace dsm::coh

@@ -102,7 +102,8 @@ class CoherenceFabric {
   /// including the per-protocol ones: no state the policy cannot install
   /// (no E under MSI, no O outside MOESI), and every Owned line
   /// registered to exactly one owner whose directory entry is kOwned.
-  /// One walk per L2. Aborts on violation. For tests.
+  /// Walks each L1 and each directory slice, so it reads only the L2 sets
+  /// that hold a line. Aborts on violation. For tests.
   void check_invariants() const;
 
  private:

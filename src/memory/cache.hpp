@@ -6,22 +6,30 @@
 // state. Timing is composed by the node model (memory/mem_controller.hpp,
 // coherence/directory.hpp) from the configured hit latencies.
 //
-// Data layout: structure-of-arrays. The tag, state, and LRU lanes are
-// separate dense vectors indexed by set * associativity + way, so the
-// associative search of lookup()/probe() streams through the tag lane
-// only — one 64-byte cache line of host memory covers a whole 8-way set
-// of 8-byte tags, where the old row-major Way{tag,state,lru} records
-// spread the same search over three lines. Empty ways hold kNoTag (a
-// value no line-aligned address can equal), which keeps the search a
-// pure tag compare with no state-lane read. A direct-mapped cache
-// (associativity == 1) skips the walk entirely: the set index *is* the
-// way index and the hit test is branch-free.
+// Data layout: one fixed-stride record per set, so a lookup, its hit
+// bookkeeping and its fill touch one host line — for the 8-way L2 a
+// record is 32-bit tag keys (32 B), states (8 B) and LRU ranks (8 B)
+// inside one 64-byte host line. A key is the line's tag plus one, so an
+// empty way is all zeros and a never-touched set needs no initialisation:
+// the records live in an anonymous private mapping, construction writes
+// nothing, and only the pages holding sets the run touches become
+// resident (a Table I L2 spans 512 KiB of records; a bench-scale run
+// touches a few percent of its lines). A fill writes a page before it
+// reads it, so each page faults in once, writable. Ranks order the ways
+// by recency: a touch or fill moves its way to rank associativity-1 and
+// lowers every rank above the way's old one, so the ways ever filled
+// hold the top ranks in recency order and a full set's rank-0 way is its
+// LRU way. A direct-mapped cache (associativity == 1) skips the walk and
+// the ranks: the set index *is* the way and the hit test is branch-free.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/config.hpp"
 #include "common/types.hpp"
 
@@ -52,22 +60,25 @@ struct Victim {
 
 class Cache {
  public:
+  /// Most ways a set may have (match() returns one bit per way).
+  static constexpr unsigned kMaxAssociativity = 32;
+
   /// Handle to a resident way, produced by one lookup() tag walk so callers
   /// can chain state reads, LRU touches, and state writes without paying
   /// the associative search again.
   ///
-  /// The handle is a stable set/way index into the SoA lanes, not a
-  /// pointer, so its validity follows the *slot*, not the container:
+  /// The handle is the offset of a way's slot in the set records, not a
+  /// pointer, so its validity follows the *slot*:
   ///  * touch(), set_state(), state_of(), and downgrade() never move
   ///    lines between ways — a handle (to this or any other line) stays
   ///    valid across any number of them (tested in cache_test.cpp);
   ///  * fill() of a DIFFERENT line may evict the handle's line from its
   ///    way and reuse the slot — the handle then silently denotes the
   ///    newly filled line, so drop handles across fill();
-  ///  * invalidate() and flush() empty the slot — the handle becomes
-  ///    falsy in meaning but not in value, so drop it there too.
-  /// In short: a handle is good until the next fill()/invalidate()/
-  /// flush() on this cache, and survives everything else.
+  ///  * invalidate() empties the slot — the handle becomes falsy in
+  ///    meaning but not in value, so drop it there too.
+  /// In short: a handle is good until the next fill()/invalidate() on
+  /// this cache, and survives everything else.
   class LineRef {
    public:
     LineRef() = default;
@@ -78,9 +89,12 @@ class Cache {
     friend class Cache;
     static constexpr std::uint64_t kAbsent = ~std::uint64_t{0};
     explicit LineRef(std::uint64_t idx) : idx_(idx) {}
-    std::uint64_t idx_ = kAbsent;  ///< set * associativity + way
+    std::uint64_t idx_ = kAbsent;  ///< byte offset of the way's state
   };
 
+  /// Maps the set records; writes none of them (see the file comment).
+  /// Aborts unless the set count is a power of two and the
+  /// associativity is 1..kMaxAssociativity.
   explicit Cache(const CacheConfig& cfg);
 
   unsigned line_bytes() const { return cfg_.line_bytes; }
@@ -90,16 +104,13 @@ class Cache {
   /// Line-aligns a byte address.
   Addr line_of(Addr a) const { return a & ~static_cast<Addr>(cfg_.line_bytes - 1); }
 
-  /// Hints the host to pull `addr`'s set into its caches: one line of the
-  /// tag lane plus the set's state/LRU stripes. Pure latency hint — no
-  /// simulated effect. The fabric issues this for the L2 set at the top
-  /// of access() so the (host-)DRAM misses of the tag walk, the hit
-  /// bookkeeping, and the directory probe overlap instead of serializing.
+  /// Hints the host to pull `addr`'s set record into its caches. Pure
+  /// latency hint — no simulated effect. The fabric issues this for the
+  /// L2 set at the top of access() so the (host-)DRAM misses of the tag
+  /// walk, the hit bookkeeping, and the directory probe overlap instead
+  /// of serializing.
   void prefetch_set(Addr addr) const {
-    const std::uint64_t base = set_index(line_of(addr)) * cfg_.associativity;
-    __builtin_prefetch(&tags_[base]);
-    __builtin_prefetch(&states_[base]);
-    __builtin_prefetch(&lru_[base]);
+    __builtin_prefetch(record(set_index(line_of(addr))));
   }
 
   /// Combined lookup: ONE tag walk, no LRU movement, no hit/miss counting.
@@ -107,7 +118,10 @@ class Cache {
   /// state_of()/touch()/set_state(LineRef)/record_miss() to express the
   /// old probe()/state()/access()/set_state(Addr) sequences with a single
   /// associative search.
-  LineRef lookup(Addr addr) const { return LineRef(find(addr)); }
+  LineRef lookup(Addr addr) const {
+    const Addr line = line_of(addr);
+    return LineRef(find(set_index(line), key_of(line)));
+  }
 
   /// Result of one lookup_for_fill() walk: either the line is resident
   /// (`ref` truthy) or the walk has already chosen the way fill() would
@@ -115,39 +129,42 @@ class Cache {
   /// (`victim_line`, kNoLine when the chosen way is empty). The cursor
   /// follows the same LineRef slot rules, plus one more: the victim
   /// choice depends on the set's LRU order, so a touch() anywhere in the
-  /// same set also stales `slot`/`victim_line` (fill_at asserts the tag
-  /// lane still agrees, which catches structural staleness but not pure
-  /// LRU movement — callers must re-walk after any same-set touch).
+  /// same set also stales `slot`/`victim_line` (fill_at asserts the slot
+  /// still holds the victim, which catches structural staleness but not
+  /// pure LRU movement — callers must re-walk after any same-set touch).
   struct FillCursor {
     static constexpr Addr kNoLine = ~Addr{0};
     LineRef ref;                 ///< truthy on hit
-    std::uint64_t slot = 0;      ///< set*assoc+way fill would use (miss only)
+    std::uint64_t slot = 0;      ///< encoded like a LineRef (miss only)
     Addr victim_line = kNoLine;  ///< line fill would displace, kNoLine if none
   };
 
-  /// Fused miss/refill walk: ONE tag+LRU pass that answers both "is the
-  /// line resident?" and, when it is not, "which way will the fill take
-  /// and what does it evict?" — where lookup() + fill() pay two cold-lane
-  /// walks of the same set. The victim policy is bit-identical to
-  /// fill()'s: first empty way, else strict min-LRU in way order (ties
-  /// keep the earlier way).
+  /// Fused miss/refill walk: one visit to the set's record answers both
+  /// "is the line resident?" and, when it is not, "which way will the
+  /// fill take and what does it evict?". Victim policy: the first empty
+  /// way, else the least recently used one.
   FillCursor lookup_for_fill(Addr addr) const;
 
   /// Allocates `addr`'s line in state `s` at the way a lookup_for_fill()
-  /// miss cursor chose, returning the displaced victim exactly like
-  /// fill() — without re-walking the set. Asserts the cursor is not
-  /// stale (the slot still holds the victim the walk saw).
+  /// miss cursor chose, returning the displaced victim — without
+  /// re-walking the set. Asserts the cursor is not stale (the slot still
+  /// holds the victim the walk saw).
   std::optional<Victim> fill_at(const FillCursor& cur, Addr addr,
                                 LineState s);
 
   /// Present-line state via a handle (kInvalid for a falsy handle).
   LineState state_of(LineRef ref) const {
-    return ref ? states_[ref.idx_] : LineState::kInvalid;
+    return ref ? state_at(ref.idx_) : LineState::kInvalid;
   }
 
   /// Marks a resident line most-recently-used and counts a hit — the
   /// handle form of a hitting access().
-  void touch(LineRef ref);
+  void touch(LineRef ref) {
+    DSM_ASSERT_MSG(ref, "touch of absent line");
+    if (cfg_.associativity > 1)
+      promote(ref.idx_ >> stride_shift_, way_of(ref.idx_));
+    ++hits_;
+  }
 
   /// Counts a miss — the handle form of a missing access().
   void record_miss() { ++misses_; }
@@ -156,13 +173,13 @@ class Cache {
   void set_state(LineRef ref, LineState s);
 
   /// True when the line is present in any valid state. Does not touch LRU.
-  bool probe(Addr addr) const { return find(addr) != LineRef::kAbsent; }
+  bool probe(Addr addr) const { return static_cast<bool>(lookup(addr)); }
 
   /// Present-line state (kInvalid when absent).
-  LineState state(Addr addr) const;
+  LineState state(Addr addr) const { return state_of(lookup(addr)); }
 
   /// Updates the state of a present line; no-op -> assertion when absent.
-  void set_state(Addr addr, LineState s);
+  void set_state(Addr addr, LineState s) { set_state(lookup(addr), s); }
 
   /// Marks the line most-recently-used and counts a hit. Returns false
   /// (and counts a miss) when absent.
@@ -170,28 +187,32 @@ class Cache {
 
   /// Allocates the line in state `s`, evicting the LRU way if the set is
   /// full. Returns the victim when one was displaced. The line must not
-  /// already be present.
+  /// already be present, and its tag must fit a 32-bit key: the address
+  /// must lie below (2^32 - 1) x sets x line bytes, about 2^50 B for the
+  /// Table I L2. Either violation aborts.
   std::optional<Victim> fill(Addr addr, LineState s);
 
   /// Removes the line (remote invalidation / inclusion victim). Returns
   /// its prior state (kInvalid when it was absent).
-  LineState invalidate(Addr addr);
+  LineState invalidate(Addr addr) { return invalidate(lookup(addr)); }
 
   /// Handle form: invalidates the way behind `ref` (falsy → kInvalid).
   LineState invalidate(LineRef ref);
 
   /// Downgrades Exclusive/Modified to Shared; returns prior state.
-  LineState downgrade(Addr addr);
+  LineState downgrade(Addr addr) { return downgrade(lookup(addr)); }
 
   /// Handle form: downgrades the way behind `ref` (falsy → kInvalid).
   LineState downgrade(LineRef ref);
 
-  /// Drops every line (used between application runs).
-  void flush();
-
   /// Enumerates all valid line addresses in deterministic set-major order:
-  /// ascending set index, ways in way order within a set.
+  /// ascending set index, ways in way order within a set. Reads every
+  /// set record; for tests and invariant checks.
   std::vector<Addr> resident_lines() const;
+
+  /// Number of valid lines, kept by fill and invalidate — what
+  /// resident_lines().size() would return, without the walk.
+  std::uint64_t resident_count() const { return resident_; }
 
   // Statistics.
   std::uint64_t hits() const { return hits_; }
@@ -201,26 +222,98 @@ class Cache {
   double hit_rate() const;
 
  private:
-  /// Tag-lane value of an empty way. line_of() clears the low line-offset
-  /// bits of every real line address, so an all-ones value can never
-  /// collide with one — which lets the tag walk skip the state lane.
-  static constexpr Addr kNoTag = ~Addr{0};
+  /// Smallest host page size (bytes) the record pages are tracked in.
+  static constexpr std::uint64_t kPageBytes = 4096;
+
+  /// Unmaps the set records.
+  struct Unmap {
+    std::size_t bytes = 0;
+    void operator()(std::byte* p) const;
+  };
 
   std::uint64_t set_index(Addr line) const {
     return (line >> line_shift_) & (sets_ - 1);
   }
 
-  /// Index of the way holding `addr`'s line, or LineRef::kAbsent.
-  std::uint64_t find(Addr addr) const;
+  /// Key of `line` in its set: the tag plus one, so 0 marks an empty way.
+  /// Aborts when the tag does not fit 32 bits, which would alias.
+  std::uint32_t key_of(Addr line) const {
+    const std::uint64_t tag = line >> tag_shift_;
+    DSM_ASSERT_MSG(tag < 0xffffffffull, "line beyond the cache's tag range");
+    return static_cast<std::uint32_t>(tag + 1);
+  }
+
+  /// Line address held under `key` in `set`.
+  Addr line_at(std::uint64_t set, std::uint32_t key) const {
+    return (static_cast<Addr>(key - 1) << tag_shift_) | (set << line_shift_);
+  }
+
+  // A set's record: keys (u32), then states (u8), then LRU ranks (u8,
+  // from an 8-byte boundary, padded to a multiple of 8). match()
+  // compares keys four at a time and masks off the lanes past the last
+  // way, whose loads stay inside the record; padding ranks stay 0, below
+  // every rank a promote() lowers.
+  std::byte* record(std::uint64_t set) const {
+    return sets_mem_.get() + (set << stride_shift_);
+  }
+  std::uint32_t* keys(std::uint64_t set) const {
+    return reinterpret_cast<std::uint32_t*>(record(set));
+  }
+  std::uint8_t* ranks(std::uint64_t set) const {
+    return reinterpret_cast<std::uint8_t*>(record(set) + ranks_at_);
+  }
+  LineState* states(std::uint64_t set) const {
+    return reinterpret_cast<LineState*>(record(set) + states_at_);
+  }
+
+  // A handle is the byte offset of its way's state, so a state read or
+  // write is one add; the set and way come back with a shift and a mask.
+  std::uint64_t handle(std::uint64_t set, unsigned way) const {
+    return (set << stride_shift_) + states_at_ + way;
+  }
+  LineState& state_at(std::uint64_t idx) const {
+    return *reinterpret_cast<LineState*>(sets_mem_.get() + idx);
+  }
+  unsigned way_of(std::uint64_t idx) const {
+    const std::uint64_t stride_mask = (std::uint64_t{1} << stride_shift_) - 1;
+    return static_cast<unsigned>(idx & stride_mask) - states_at_;
+  }
+
+  /// Bit w set when way w of `set` holds `key` (key 0: when it is empty).
+  std::uint32_t match(std::uint64_t set, std::uint32_t key) const;
+
+  /// Handle of the way holding `key` in `set`, or LineRef::kAbsent.
+  std::uint64_t find(std::uint64_t set, std::uint32_t key) const;
+
+  /// The way a fill of `set` takes: the first empty one, else the LRU one.
+  unsigned victim_way(std::uint64_t set) const;
+
+  /// Moves `way` to the top rank, lowering every rank above its old one.
+  /// Callers skip it for a direct-mapped cache, whose one way has no
+  /// order to keep.
+  void promote(std::uint64_t set, unsigned way);
+
+  /// Writes the host page holding `set`'s record unless a fill already
+  /// has. Every fill calls it before reading the set: a read of a page
+  /// never written maps the shared zero page, and the fill's write would
+  /// then fault a second time and flush the TLB of every CPU running
+  /// another thread of this process.
+  void write_page_first(std::uint64_t set) const;
+
+  /// Puts `key` in state `s` at `way`, returning the line it displaces.
+  std::optional<Victim> install(std::uint64_t set, unsigned way,
+                                std::uint32_t key, LineState s);
 
   CacheConfig cfg_;
   std::uint64_t sets_;
   unsigned line_shift_;
-  // SoA lanes, each sets_ * associativity, indexed set * assoc + way.
-  std::vector<Addr> tags_;            ///< line address, or kNoTag if empty
-  std::vector<LineState> states_;          ///< kInvalid iff tags_[] == kNoTag
-  std::vector<std::uint64_t> lru_;    ///< larger = more recent
-  std::uint64_t tick_ = 0;
+  unsigned tag_shift_;     ///< line_shift_ + log2(sets_)
+  unsigned states_at_;     ///< byte offsets within a record
+  unsigned ranks_at_;
+  unsigned stride_shift_;  ///< log2 of the record stride
+  std::unique_ptr<std::byte, Unmap> sets_mem_;
+  mutable std::vector<std::uint64_t> written_pages_;  ///< one bit per page
+  std::uint64_t resident_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

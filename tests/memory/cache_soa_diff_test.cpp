@@ -7,8 +7,9 @@
 // invalidation counters, victim identity and state, per-line states,
 // resident-line sets) must stay identical throughout. The reference is
 // the old code verbatim (modulo test-local naming), so any divergence in
-// the SoA walk, the sentinel-tag trick, the direct-mapped fast path, or
-// the fused fill victim scan fails here with the operation index.
+// the set-record walk, the all-zero empty way, the LRU ranks, the
+// direct-mapped fast path, or the fused fill victim scan fails here with
+// the operation index.
 #include "memory/cache.hpp"
 
 #include <gtest/gtest.h>
@@ -103,10 +104,6 @@ class RefCache {
     if (prior == LineState::kExclusive || prior == LineState::kModified)
       w->state = LineState::kShared;
     return prior;
-  }
-
-  void flush() {
-    for (auto& w : ways_) w.state = LineState::kInvalid;
   }
 
   std::vector<Addr> resident_lines() const {
@@ -217,9 +214,6 @@ void run_diff(const CacheConfig& cfg, std::uint64_t ops, std::uint64_t seed) {
       ASSERT_EQ(ref.invalidate(a), soa.invalidate(soa.lookup(a))) << "op " << i;
     } else if (op < 15) {
       ASSERT_EQ(ref.downgrade(a), soa.downgrade(soa.lookup(a))) << "op " << i;
-    } else if (op == 15 && (rnd() % 4096) == 0) {
-      ref.flush();
-      soa.flush();
     } else {
       ASSERT_EQ(ref.probe(a), static_cast<bool>(soa.lookup(a))) << "op " << i;
     }

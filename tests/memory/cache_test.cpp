@@ -1,6 +1,7 @@
 #include "memory/cache.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <tuple>
 #include <vector>
@@ -79,14 +80,21 @@ TEST(CacheTest, DowngradeOnlyWeakensExclusivity) {
   EXPECT_EQ(c.state(0x40), LineState::kShared);
 }
 
-TEST(CacheTest, FlushDropsEverything) {
-  Cache c(small_cache(2));
-  c.fill(0, LineState::kShared);
-  c.fill(64, LineState::kModified);
-  c.flush();
-  EXPECT_FALSE(c.probe(0));
-  EXPECT_FALSE(c.probe(64));
+// Construction maps the set records without writing them, so a Table I
+// L2 (512 KiB of records) costs no resident memory until a run touches
+// its sets.
+TEST(CacheTest, ConstructionTouchesNoSetMemory) {
+  const CacheConfig l2 = default_config(1).l2;
+  const auto minor_faults = [] {
+    rusage u{};
+    getrusage(RUSAGE_SELF, &u);
+    return u.ru_minflt;
+  };
+  const long before = minor_faults();
+  const Cache c(l2);
+  EXPECT_LT(minor_faults() - before, 8);
   EXPECT_TRUE(c.resident_lines().empty());
+  EXPECT_EQ(c.resident_count(), 0u);
 }
 
 TEST(CacheTest, HitRate) {
@@ -107,6 +115,17 @@ TEST(CacheDeathTest, DoubleFillAborts) {
 TEST(CacheDeathTest, SetStateOnAbsentLineAborts) {
   Cache c(small_cache(2));
   EXPECT_DEATH(c.set_state(0x40, LineState::kShared), "absent");
+}
+
+// A set record keeps 32-bit keys (tag + 1), so the Table I L2 (8,192 sets
+// of 32 B lines: 2^18 B per tag) holds lines below 2^50 B. A line above
+// that aborts instead of aliasing a lower line's key.
+TEST(CacheDeathTest, LineBeyondTagRangeAborts) {
+  Cache c(default_config(1).l2);
+  const Addr top = Addr{0xfffffffe} << 18;  // the highest tag with a key
+  c.fill(top, LineState::kShared);
+  EXPECT_TRUE(c.probe(top));
+  EXPECT_DEATH(c.fill(Addr{1} << 50, LineState::kShared), "tag range");
 }
 
 // ---- property sweep over geometries ----
@@ -134,10 +153,14 @@ TEST_P(CacheGeometryTest, CapacityIsRespected) {
     c.fill(i * cfg.line_bytes, LineState::kShared);
   EXPECT_EQ(c.evictions(), 0u);
   EXPECT_EQ(c.resident_lines().size(), lines);
+  EXPECT_EQ(c.resident_count(), lines);
   // One more line in any set must evict.
   c.fill(lines * cfg.line_bytes, LineState::kShared);
   EXPECT_EQ(c.evictions(), 1u);
   EXPECT_EQ(c.resident_lines().size(), lines);
+  EXPECT_EQ(c.resident_count(), lines);
+  c.invalidate(lines * cfg.line_bytes);
+  EXPECT_EQ(c.resident_count(), lines - 1);
 }
 
 TEST_P(CacheGeometryTest, SequentialRefillAllHits) {
@@ -185,11 +208,11 @@ TEST(CacheLookupTest, HandleMirrorsAddressApi) {
   EXPECT_FALSE(c.probe(0x100));
 }
 
-// LineRef is an index into the SoA lanes, so it follows the slot, not a
+// LineRef is an index into the set records, so it follows the slot, not a
 // pointer: handles — including handles to OTHER lines in the same set —
 // must survive any number of touch()/set_state()/downgrade() calls
-// (cache.hpp documents the invalidation rules: only fill(), invalidate(),
-// and flush() may repurpose or empty a slot).
+// (cache.hpp documents the invalidation rules: only fill() and
+// invalidate() may repurpose or empty a slot).
 TEST(CacheLookupTest, HandlesStayValidAcrossTouchAndSetState) {
   Cache c(small_cache(2));
   // Two lines in the same set (2-way, 16 sets, set stride 512).
