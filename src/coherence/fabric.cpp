@@ -10,6 +10,14 @@ namespace dsm::coh {
 using mem::LineState;
 using net::TrafficClass;
 
+namespace {
+// Trace-event byte fields: the acting node, and the request's write bit.
+std::uint8_t node_byte(NodeId n) { return static_cast<std::uint8_t>(n); }
+std::uint8_t write_flag(bool is_write) {
+  return is_write ? obs::TraceEvent::kWriteBit : 0;
+}
+}  // namespace
+
 const char* data_source_name(DataSource s) {
   switch (s) {
     case DataSource::kL1: return "L1";
@@ -36,21 +44,21 @@ CoherenceFabric::CoherenceFabric(const MachineConfig& cfg,
       pol_(&policy_for(cfg.protocol)),
       network_(network),
       home_map_(&home_map) {
-  DSM_ASSERT_MSG(cfg.num_nodes <= 64,
+  DSM_ASSERT_MSG(cfg.num_nodes <= kMaxNodes,
                  "full-map directory uses a 64-bit sharer bitset");
   nodes_.reserve(cfg.num_nodes);
   for (NodeId n = 0; n < cfg.num_nodes; ++n) nodes_.emplace_back(cfg, n);
   if (obs != nullptr) {
     trace_ = obs->trace();
     if (obs->stats_enabled()) {
-      obs_.trans_uncached_read = obs->counter("coh.trans.uncached_read");
-      obs_.trans_uncached_write = obs->counter("coh.trans.uncached_write");
-      obs_.trans_shared_read = obs->counter("coh.trans.shared_read");
-      obs_.trans_shared_write = obs->counter("coh.trans.shared_write");
-      obs_.trans_exclusive_read = obs->counter("coh.trans.exclusive_read");
-      obs_.trans_exclusive_write = obs->counter("coh.trans.exclusive_write");
-      obs_.trans_owned_read = obs->counter("coh.trans.owned_read");
-      obs_.trans_owned_write = obs->counter("coh.trans.owned_write");
+      const char* const kTrans[4][2] = {
+          {"coh.trans.uncached_read", "coh.trans.uncached_write"},
+          {"coh.trans.shared_read", "coh.trans.shared_write"},
+          {"coh.trans.exclusive_read", "coh.trans.exclusive_write"},
+          {"coh.trans.owned_read", "coh.trans.owned_write"}};
+      for (unsigned st = 0; st < 4; ++st)
+        for (unsigned w = 0; w < 2; ++w)
+          obs_.trans[st][w] = obs->counter(kTrans[st][w]);
       obs_.fill_with_victim = obs->counter("coh.fill.with_victim");
       obs_.fill_no_victim = obs->counter("coh.fill.no_victim");
       obs_.evict_writeback = obs->counter("coh.evict.writeback");
@@ -147,19 +155,7 @@ AccessOutcome CoherenceFabric::access(NodeId node, Addr addr, bool is_write,
       grant = pol_->store_hit[static_cast<unsigned>(s2)];
       me.l2.set_state(w2, grant);
     }
-    // Refill L1 from L2 (w1 may be a resident S way on a read after an L1
-    // conflict miss).
-    if (w1) {
-      me.l1.touch(w1);
-      me.l1.set_state(w1, grant);
-    } else {
-      const auto v1 = me.l1.fill(line, grant);
-      if (v1 && v1->state == LineState::kModified) {
-        const mem::Cache::LineRef wv = me.l2.lookup(v1->line_addr);
-        DSM_ASSERT_MSG(wv, "L1/L2 inclusion broken");
-        me.l2.set_state(wv, LineState::kModified);
-      }
-    }
+    refill_l1(me, line, w1, grant);
     out.latency = lat;
     out.source = DataSource::kL2;
     return out;
@@ -176,31 +172,17 @@ AccessOutcome CoherenceFabric::access(NodeId node, Addr addr, bool is_write,
 
   // ---- Directory ----
   // Trace only the miss path: L1/L2 hit arms stay event-free.
-  if (trace_ != nullptr) {
-    obs::TraceEvent ev;
-    ev.ts = now;
-    ev.addr = line;
-    ev.kind = obs::TraceEvent::kMissStart;
-    ev.node = static_cast<std::uint8_t>(node);
-    ev.flags = is_write ? obs::TraceEvent::kWriteBit : 0;
-    ev.aux = out.home;
-    trace_->record(ev);
-  }
+  trace({.ts = now, .addr = line, .kind = obs::TraceEvent::kMissStart,
+         .node = node_byte(node), .flags = write_flag(is_write),
+         .aux = out.home});
   lat += directory_request(node, line, is_write, now + lat, out, w1, c2);
   out.latency = lat;
-  if (trace_ != nullptr) {
-    obs::TraceEvent ev;
-    ev.ts = now;
-    ev.addr = line;
-    ev.arg = out.latency;
-    ev.kind = obs::TraceEvent::kMissFill;
-    ev.node = static_cast<std::uint8_t>(node);
-    ev.flags = static_cast<std::uint8_t>(
-        (is_write ? obs::TraceEvent::kWriteBit : 0) |
-        (static_cast<unsigned>(out.source) << obs::TraceEvent::kSourceShift));
-    ev.aux = out.home;
-    trace_->record(ev);
-  }
+  trace({.ts = now, .addr = line, .arg = out.latency,
+         .kind = obs::TraceEvent::kMissFill, .node = node_byte(node),
+         .flags = static_cast<std::uint8_t>(
+             write_flag(is_write) | (static_cast<unsigned>(out.source)
+                                     << obs::TraceEvent::kSourceShift)),
+         .aux = out.home});
   return out;
 }
 
@@ -210,157 +192,64 @@ Cycle CoherenceFabric::directory_request(NodeId requestor, Addr line,
                                          mem::Cache::LineRef l1_ref,
                                          const mem::Cache::FillCursor& l2_cursor) {
   Node& me = nodes_[requestor];
-  const mem::Cache::LineRef l2_ref = l2_cursor.ref;
-  const NodeId home = out.home;
-  Node& h = nodes_[home];
-  Cycle lat = 0;
-
+  Txn t{requestor, out.home, line, is_write, now, 0, out};
   // Request travels to the home node's directory.
-  lat += network_.message_latency(requestor, home, control_bytes(), now,
-                                  TrafficClass::kCoherence);
-  lat += cfg_.memory.directory_latency_cycles;
+  t.lat += network_.message_latency(requestor, t.home, control_bytes(), now,
+                                    TrafficClass::kCoherence);
+  t.lat += cfg_.memory.directory_latency_cycles;
+  trace({.ts = t.at(), .addr = line, .kind = obs::TraceEvent::kDirRequest,
+         .node = node_byte(requestor), .flags = write_flag(is_write),
+         .aux = t.home});
 
-  if (trace_ != nullptr) {
-    obs::TraceEvent ev;
-    ev.ts = now + lat;
-    ev.addr = line;
-    ev.kind = obs::TraceEvent::kDirRequest;
-    ev.node = static_cast<std::uint8_t>(requestor);
-    ev.flags = is_write ? obs::TraceEvent::kWriteBit : 0;
-    ev.aux = home;
-    trace_->record(ev);
-  }
-
-  DirEntry& e = h.dir.entry(line);
-  const bool requestor_had_data = static_cast<bool>(l2_ref);
-  // Every switch arm assigns grant; kInvalid would trip fill_hierarchy's
-  // assert if one ever stopped doing so.
-  LineState grant = LineState::kInvalid;
+  DirEntry& e = nodes_[t.home].dir.entry(line);
+  obs_.trans[static_cast<unsigned>(e.state)][is_write].inc();
+  // Data already in the L2 means a store to a read-only copy (a read
+  // would have hit): only write permission is missing.
+  const bool upgrade = static_cast<bool>(l2_cursor.ref);
+  const NodeId q = e.owner;
+  // A write always ends as the sole M copy; a read gets S unless it is
+  // the sole reader of an uncached line.
+  LineState grant = is_write ? LineState::kModified : LineState::kShared;
 
   switch (e.state) {
-    case DirEntry::State::kUncached: {
-      (is_write ? obs_.trans_uncached_write : obs_.trans_uncached_read).inc();
-      // Fetch from home memory. A write is granted M everywhere; what a
-      // sole READER gets is the policy's call — E under MESI/MOESI (so a
-      // later store upgrades silently), plain S under MSI.
-      lat += h.ctrl.request(line, now + lat, data_bytes(), requestor);
-      lat += network_.message_latency(home, requestor, data_bytes(),
-                                      now + lat, TrafficClass::kData);
-      if (is_write) {
-        grant = LineState::kModified;
-        e.state = DirEntry::State::kExclusive;
-        e.owner = requestor;
-      } else {
+    case DirEntry::State::kUncached:
+      // What a sole READER gets is the policy's call: E under MESI/MOESI
+      // (so a later store upgrades silently), plain S under MSI.
+      fetch_from_home(t);
+      if (!is_write) {
         grant = pol_->sole_read_grant;
         e.state = pol_->sole_read_dir;
-        e.owner = (e.state == DirEntry::State::kExclusive) ? requestor
-                                                           : kNoNode;
-      }
-      e.sharers = 0;
-      e.add_sharer(requestor);
-      out.source = (home == requestor) ? DataSource::kLocalMem
-                                       : DataSource::kRemoteMem;
-      if (home == requestor) ++me.stats.local_mem; else ++me.stats.remote_mem;
-      break;
-    }
-    case DirEntry::State::kShared: {
-      (is_write ? obs_.trans_shared_write : obs_.trans_shared_read).inc();
-      if (is_write) {
-        // Invalidate every other sharer; acks return in parallel, so the
-        // cost is the slowest round trip. Bit-scanning the sharer set
-        // visits the same nodes in the same ascending order as a full
-        // 0..nodes scan, in O(popcount).
-        Cycle max_inval = 0;
-        for_each_set_bit(
-            e.sharers & ~(std::uint64_t{1} << requestor), [&](unsigned qb) {
-              const NodeId q = static_cast<NodeId>(qb);
-              Cycle t = network_.message_latency(home, q, control_bytes(),
-                                                 now + lat,
-                                                 TrafficClass::kCoherence);
-              nodes_[q].l1.invalidate(line);
-              nodes_[q].l2.invalidate(line);
-              t += network_.message_latency(q, home, control_bytes(),
-                                            now + lat + t,
-                                            TrafficClass::kCoherence);
-              max_inval = std::max(max_inval, t);
-              ++me.stats.invalidations_sent;
-              ++out.invalidations;
-            });
-        lat += max_inval;
-        if (requestor_had_data) {
-          // Upgrade: permission only, no data transfer.
-          lat += network_.message_latency(home, requestor, control_bytes(),
-                                          now + lat, TrafficClass::kCoherence);
-          out.source = DataSource::kUpgrade;
-          ++me.stats.upgrades;
-        } else {
-          lat += h.ctrl.request(line, now + lat, data_bytes(), requestor);
-          lat += network_.message_latency(home, requestor, data_bytes(),
-                                          now + lat, TrafficClass::kData);
-          out.source = (home == requestor) ? DataSource::kLocalMem
-                                           : DataSource::kRemoteMem;
-          if (home == requestor) ++me.stats.local_mem;
-          else ++me.stats.remote_mem;
-        }
-        grant = LineState::kModified;
-        e.state = DirEntry::State::kExclusive;
-        e.sharers = 0;
+        e.owner = e.state == DirEntry::State::kExclusive ? requestor : kNoNode;
         e.add_sharer(requestor);
-        e.owner = requestor;
-      } else {
-        // Memory holds a clean copy in Shared.
-        lat += h.ctrl.request(line, now + lat, data_bytes(), requestor);
-        lat += network_.message_latency(home, requestor, data_bytes(),
-                                        now + lat, TrafficClass::kData);
-        grant = LineState::kShared;
-        e.add_sharer(requestor);
-        out.source = (home == requestor) ? DataSource::kLocalMem
-                                         : DataSource::kRemoteMem;
-        if (home == requestor) ++me.stats.local_mem;
-        else ++me.stats.remote_mem;
       }
       break;
-    }
+    case DirEntry::State::kShared:
+      // Memory holds a clean copy.
+      if (is_write) invalidate_sharers(t, e.sharers);
+      if (upgrade) grant_upgrade(t); else fetch_from_home(t);
+      if (!is_write) e.add_sharer(requestor);
+      break;
     case DirEntry::State::kExclusive: {
-      (is_write ? obs_.trans_exclusive_write : obs_.trans_exclusive_read)
-          .inc();
-      const NodeId q = e.owner;
       DSM_ASSERT_MSG(q != requestor,
                      "requestor cannot be the registered owner on a miss");
+      forward_to_owner(t, q);
       Node& owner = nodes_[q];
-      // Forward the request to the current owner.
-      lat += network_.message_latency(home, q, control_bytes(), now + lat,
-                                      TrafficClass::kCoherence);
-      if (trace_ != nullptr) {
-        obs::TraceEvent ev;
-        ev.ts = now + lat;
-        ev.addr = line;
-        ev.kind = obs::TraceEvent::kDirForward;
-        ev.node = static_cast<std::uint8_t>(requestor);
-        ev.flags = is_write ? obs::TraceEvent::kWriteBit : 0;
-        ev.aux = q;
-        trace_->record(ev);
-      }
       const mem::Cache::LineRef ow1 = owner.l1.lookup(line);
       const mem::Cache::LineRef ow2 = owner.l2.lookup(line);
-      const LineState owner_l1 = owner.l1.state_of(ow1);
       const LineState owner_l2 = owner.l2.state_of(ow2);
       DSM_ASSERT_MSG(owner_l2 == LineState::kExclusive ||
                          owner_l2 == LineState::kModified,
                      "directory owner must hold the line E or M");
-      const bool was_dirty =
-          owner_l1 == LineState::kModified || owner_l2 == LineState::kModified;
+      const bool was_dirty = owner.l1.state_of(ow1) == LineState::kModified ||
+                             owner_l2 == LineState::kModified;
       if (is_write) {
         owner.l1.invalidate(ow1);
         owner.l2.invalidate(ow2);
         ++me.stats.invalidations_sent;
         ++out.invalidations;
-        e.sharers = 0;
-        e.add_sharer(requestor);
-        e.owner = requestor;
-        grant = LineState::kModified;
       } else {
         owner.l1.downgrade(ow1);
+        e.add_sharer(requestor);
         if (pol_->has_owned && was_dirty) {
           // MOESI: the dirty owner keeps its data as Owned and forwards
           // it cache-to-cache below — no memory writeback; home memory
@@ -368,165 +257,141 @@ Cycle CoherenceFabric::directory_request(NodeId requestor, Addr line,
           // registered (and a sharer) so later requests forward to it.
           owner.l2.set_state(ow2, LineState::kOwned);
           e.state = DirEntry::State::kOwned;
-          e.add_sharer(requestor);
         } else {
           owner.l2.downgrade(ow2);
           if (was_dirty) {
             // Sharing writeback: the home's memory is refreshed off the
             // requestor's critical path, but the controller is occupied.
-            h.ctrl.request(line, now + lat, data_bytes(), q);
-            network_.message_latency(q, home, data_bytes(), now + lat,
+            nodes_[t.home].ctrl.request(line, t.at(), data_bytes(), q);
+            network_.message_latency(q, t.home, data_bytes(), t.at(),
                                      TrafficClass::kData);
             ++owner.stats.writebacks;
           }
           e.state = DirEntry::State::kShared;
-          e.add_sharer(requestor);
           e.owner = kNoNode;
         }
-        grant = LineState::kShared;
       }
-      // Cache-to-cache transfer, owner -> requestor.
-      lat += network_.message_latency(q, requestor, data_bytes(), now + lat,
-                                      TrafficClass::kData);
-      out.source = DataSource::kRemoteCache;
-      ++me.stats.cache_to_cache;
+      cache_to_cache(t, q);
       break;
     }
-    case DirEntry::State::kOwned: {
-      (is_write ? obs_.trans_owned_write : obs_.trans_owned_read).inc();
-      // MOESI only: a dirty Owned copy exists at e.owner; home memory is
-      // stale, so data always comes from the owner, never from h.ctrl.
+    case DirEntry::State::kOwned:
+      // MOESI only: a dirty Owned copy exists at e.owner and home memory
+      // is stale, so the data always come from the owner. Like kShared
+      // otherwise: a write invalidates every other copy (the owner's too,
+      // unless the requestor IS the owner upgrading its O copy); a read
+      // leaves the owner in O and only adds the new sharer.
       DSM_ASSERT_MSG(pol_->has_owned, "kOwned entry under a non-MOESI policy");
-      const NodeId q = e.owner;
       DSM_ASSERT(q != kNoNode);
-      if (is_write) {
-        // Invalidate every sharer but the requestor (the owner included,
-        // unless the requestor IS the owner upgrading its O copy); acks
-        // return in parallel, so the cost is the slowest round trip.
-        Cycle max_inval = 0;
-        for_each_set_bit(
-            e.sharers & ~(std::uint64_t{1} << requestor), [&](unsigned qb) {
-              const NodeId s = static_cast<NodeId>(qb);
-              Cycle t = network_.message_latency(home, s, control_bytes(),
-                                                 now + lat,
-                                                 TrafficClass::kCoherence);
-              nodes_[s].l1.invalidate(line);
-              nodes_[s].l2.invalidate(line);
-              t += network_.message_latency(s, home, control_bytes(),
-                                            now + lat + t,
-                                            TrafficClass::kCoherence);
-              max_inval = std::max(max_inval, t);
-              ++me.stats.invalidations_sent;
-              ++out.invalidations;
-            });
-        lat += max_inval;
-        if (requestor_had_data) {
-          // The requestor already holds the data (S, or O when it is the
-          // owner): permission only.
-          lat += network_.message_latency(home, requestor, control_bytes(),
-                                          now + lat, TrafficClass::kCoherence);
-          out.source = DataSource::kUpgrade;
-          ++me.stats.upgrades;
-        } else {
-          // Memory is stale: forward the request to the (just
-          // invalidated) owner, which supplies the only valid data.
-          DSM_ASSERT_MSG(q != requestor, "ownerless O-line write");
-          lat += network_.message_latency(home, q, control_bytes(), now + lat,
-                                          TrafficClass::kCoherence);
-          if (trace_ != nullptr) {
-            obs::TraceEvent ev;
-            ev.ts = now + lat;
-            ev.addr = line;
-            ev.kind = obs::TraceEvent::kDirForward;
-            ev.node = static_cast<std::uint8_t>(requestor);
-            ev.flags = obs::TraceEvent::kWriteBit;
-            ev.aux = q;
-            trace_->record(ev);
-          }
-          lat += network_.message_latency(q, requestor, data_bytes(),
-                                          now + lat, TrafficClass::kData);
-          out.source = DataSource::kRemoteCache;
-          ++me.stats.cache_to_cache;
-        }
-        grant = LineState::kModified;
-        e.state = DirEntry::State::kExclusive;
-        e.sharers = 0;
-        e.add_sharer(requestor);
-        e.owner = requestor;
+      if (is_write) invalidate_sharers(t, e.sharers);
+      if (upgrade) {
+        grant_upgrade(t);
       } else {
-        // Read: forward from the owner, cache-to-cache; the owner keeps
-        // O and the directory entry is untouched except for the new
-        // sharer. (The owner itself never read-misses an O line — its L2
-        // serves it — so q != requestor here.)
-        DSM_ASSERT_MSG(q != requestor, "owner read-missed its own O line");
-        lat += network_.message_latency(home, q, control_bytes(), now + lat,
-                                        TrafficClass::kCoherence);
-        if (trace_ != nullptr) {
-          obs::TraceEvent ev;
-          ev.ts = now + lat;
-          ev.addr = line;
-          ev.kind = obs::TraceEvent::kDirForward;
-          ev.node = static_cast<std::uint8_t>(requestor);
-          ev.aux = q;
-          trace_->record(ev);
-        }
-        lat += network_.message_latency(q, requestor, data_bytes(), now + lat,
-                                        TrafficClass::kData);
-        e.add_sharer(requestor);
-        grant = LineState::kShared;
-        out.source = DataSource::kRemoteCache;
-        ++me.stats.cache_to_cache;
+        DSM_ASSERT_MSG(q != requestor, "the owner missed on its own O line");
+        forward_to_owner(t, q);
+        cache_to_cache(t, q);
       }
+      if (!is_write) e.add_sharer(requestor);
       break;
-    }
+  }
+  if (is_write) {
+    // Every write leaves the requestor the sole, registered owner.
+    e.state = DirEntry::State::kExclusive;
+    e.sharers = 0;
+    e.add_sharer(requestor);
+    e.owner = requestor;
   }
 
-  // Install / upgrade locally. The cached tag-walk handles are still valid:
+  // Install locally. The cached tag-walk handles are still valid:
   // everything above only touched other nodes' caches.
-  if (out.source == DataSource::kUpgrade) {
-    DSM_ASSERT(l2_ref);
-    me.l2.set_state(l2_ref, LineState::kModified);
-    if (l1_ref) {
-      me.l1.set_state(l1_ref, LineState::kModified);
-      me.l1.touch(l1_ref);
-    } else {
-      const auto v1 = me.l1.fill(line, LineState::kModified);
-      if (v1 && v1->state == LineState::kModified) {
-        const mem::Cache::LineRef wv = me.l2.lookup(v1->line_addr);
-        DSM_ASSERT(wv);
-        me.l2.set_state(wv, LineState::kModified);
-      }
-    }
+  if (upgrade) {
+    me.l2.set_state(l2_cursor.ref, grant);
   } else {
-    lat += fill_hierarchy(requestor, line, grant, now + lat, l2_cursor);
+    // fill_at reuses access()'s miss cursor (and asserts its freshness),
+    // so the refill pays ONE associative search of the L2 set.
+    const auto v2 = me.l2.fill_at(l2_cursor, line, grant);
+    (v2 ? obs_.fill_with_victim : obs_.fill_no_victim).inc();
+    if (v2) handle_l2_eviction(requestor, *v2, t.at());
   }
-  return lat;
+  refill_l1(me, line, l1_ref, grant);
+  return t.lat;
 }
 
-Cycle CoherenceFabric::fill_hierarchy(NodeId requestor, Addr line, LineState st,
-                                      Cycle now,
-                                      const mem::Cache::FillCursor& l2_cursor) {
-  Node& me = nodes_[requestor];
-  Cycle lat = 0;
-  // The L2 allocation reuses the miss cursor from access()'s fused walk
-  // (fill_at asserts its freshness), so the whole refill path pays ONE
-  // associative search of the L2 set — the directory path in between
-  // never mutates the requestor's caches. The L1 fill still walks its
-  // (direct-mapped: walk-free) set.
-  const auto v2 = me.l2.fill_at(l2_cursor, line, st);
-  (v2 ? obs_.fill_with_victim : obs_.fill_no_victim).inc();
-  if (v2) lat += handle_l2_eviction(requestor, *v2, now);
-  const auto v1 = me.l1.fill(line, st);
+void CoherenceFabric::invalidate_sharers(Txn& t, std::uint64_t sharers) {
+  // Bit-scanning visits the sharers in ascending node order, in
+  // O(popcount).
+  NodeCoherenceStats& stats = nodes_[t.requestor].stats;
+  Cycle slowest = 0;
+  for_each_set_bit(
+      sharers & ~(std::uint64_t{1} << t.requestor), [&](unsigned qb) {
+        const NodeId q = static_cast<NodeId>(qb);
+        Cycle rt = network_.message_latency(t.home, q, control_bytes(),
+                                            t.at(), TrafficClass::kCoherence);
+        nodes_[q].l1.invalidate(t.line);
+        nodes_[q].l2.invalidate(t.line);
+        rt += network_.message_latency(q, t.home, control_bytes(),
+                                       t.at() + rt, TrafficClass::kCoherence);
+        slowest = std::max(slowest, rt);
+        ++stats.invalidations_sent;
+        ++t.out.invalidations;
+      });
+  t.lat += slowest;
+}
+
+void CoherenceFabric::fetch_from_home(Txn& t) {
+  t.lat += nodes_[t.home].ctrl.request(t.line, t.at(), data_bytes(),
+                                       t.requestor);
+  t.lat += network_.message_latency(t.home, t.requestor, data_bytes(),
+                                    t.at(), TrafficClass::kData);
+  NodeCoherenceStats& stats = nodes_[t.requestor].stats;
+  if (t.home == t.requestor) {
+    t.out.source = DataSource::kLocalMem;
+    ++stats.local_mem;
+  } else {
+    t.out.source = DataSource::kRemoteMem;
+    ++stats.remote_mem;
+  }
+}
+
+void CoherenceFabric::forward_to_owner(Txn& t, NodeId q) {
+  t.lat += network_.message_latency(t.home, q, control_bytes(), t.at(),
+                                    TrafficClass::kCoherence);
+  trace({.ts = t.at(), .addr = t.line, .kind = obs::TraceEvent::kDirForward,
+         .node = node_byte(t.requestor), .flags = write_flag(t.is_write),
+         .aux = q});
+}
+
+void CoherenceFabric::cache_to_cache(Txn& t, NodeId q) {
+  t.lat += network_.message_latency(q, t.requestor, data_bytes(), t.at(),
+                                    TrafficClass::kData);
+  t.out.source = DataSource::kRemoteCache;
+  ++nodes_[t.requestor].stats.cache_to_cache;
+}
+
+void CoherenceFabric::grant_upgrade(Txn& t) {
+  // Permission only, no data transfer.
+  t.lat += network_.message_latency(t.home, t.requestor, control_bytes(),
+                                    t.at(), TrafficClass::kCoherence);
+  t.out.source = DataSource::kUpgrade;
+  ++nodes_[t.requestor].stats.upgrades;
+}
+
+void CoherenceFabric::refill_l1(Node& n, Addr line, mem::Cache::LineRef l1_ref,
+                                LineState st) {
+  if (l1_ref) {
+    n.l1.touch(l1_ref);
+    n.l1.set_state(l1_ref, st);
+    return;
+  }
+  const auto v1 = n.l1.fill(line, st);
   if (v1 && v1->state == LineState::kModified) {
-    const mem::Cache::LineRef wv = me.l2.lookup(v1->line_addr);
+    const mem::Cache::LineRef wv = n.l2.lookup(v1->line_addr);
     DSM_ASSERT_MSG(wv, "L1/L2 inclusion broken");
-    me.l2.set_state(wv, LineState::kModified);
+    n.l2.set_state(wv, LineState::kModified);
   }
-  return lat;
 }
 
-Cycle CoherenceFabric::handle_l2_eviction(NodeId evictor, const mem::Victim& v,
-                                          Cycle now) {
+void CoherenceFabric::handle_l2_eviction(NodeId evictor, const mem::Victim& v,
+                                         Cycle now) {
   Node& me = nodes_[evictor];
   // Inclusion: purge the L1 copy; it may carry the dirty bit.
   const LineState l1_state = me.l1.invalidate(v.line_addr);
@@ -542,53 +407,35 @@ Cycle CoherenceFabric::handle_l2_eviction(NodeId evictor, const mem::Victim& v,
     // home controller occupancy are still real.
     ++me.stats.writebacks;
     obs_.evict_writeback.inc();
-    if (trace_ != nullptr) {
-      obs::TraceEvent ev;
-      ev.ts = now;
-      ev.addr = v.line_addr;
-      ev.kind = obs::TraceEvent::kWriteback;
-      ev.node = static_cast<std::uint8_t>(evictor);
-      ev.aux = vhome;
-      trace_->record(ev);
-    }
+    trace({.ts = now, .addr = v.line_addr, .kind = obs::TraceEvent::kWriteback,
+           .node = node_byte(evictor), .aux = vhome});
     const Cycle arrive =
         now + network_.message_latency(evictor, vhome, data_bytes(), now,
                                        TrafficClass::kData);
     h.ctrl.request(v.line_addr, arrive, data_bytes(), evictor);
     if (!pol_->has_owned) {
-      // MSI/MESI: a dirty line is the only copy, so it returns to
-      // kUncached and its entry is erased in place — no entry() probe
-      // first: this path never reads the state it is about to drop.
+      // MSI/MESI: a dirty line is the only copy, so its entry is erased
+      // in place — no entry() probe first: this path never reads the
+      // state it is about to drop.
       h.dir.erase(v.line_addr);
-      return 0;
+      return;
     }
-    // MOESI: an evicted O line may leave S copies behind. The writeback
-    // just refreshed home memory, so the survivors' entry is a plain
-    // kShared; the line is erased only when the evictor held the sole
-    // copy (M, or O with no other sharer).
-    DirEntry& e = h.dir.entry(v.line_addr);
-    e.remove_sharer(evictor);
-    if (e.sharer_count() == 0) {
-      h.dir.erase(v.line_addr);
-    } else {
-      e.state = DirEntry::State::kShared;
-      e.owner = kNoNode;
-    }
-    return 0;
+  } else {
+    obs_.evict_clean.inc();  // silent on the wire
   }
-
-  // Clean eviction: silent on the wire; directory stays precise. When the
-  // last copy leaves, the entry returns to kUncached and is erased in
-  // place (erase() invalidates `e` — it is the last use).
-  obs_.evict_clean.inc();
+  // The directory stays precise: the evictor leaves the sharer set and
+  // the last copy's departure erases the entry (erase() invalidates `e`
+  // — it is the last use). An evicted MOESI O line may leave S copies
+  // behind; the writeback just refreshed home memory, so their entry
+  // becomes a plain kShared.
   DirEntry& e = h.dir.entry(v.line_addr);
   e.remove_sharer(evictor);
-  if (e.state == DirEntry::State::kExclusive && e.owner == evictor) {
+  if (e.sharer_count() == 0) {
     h.dir.erase(v.line_addr);
-  } else if (e.sharer_count() == 0) {
-    h.dir.erase(v.line_addr);
+  } else if (dirty) {
+    e.state = DirEntry::State::kShared;
+    e.owner = kNoNode;
   }
-  return 0;
 }
 
 void CoherenceFabric::check_invariants() const {

@@ -116,26 +116,58 @@ class CoherenceFabric {
     Node(const MachineConfig& cfg, NodeId id);
   };
 
-  /// Serves a miss/upgrade at the directory; returns added latency.
-  /// `l1_ref`/`l2_cursor` are the requestor's cached tag-walk results
-  /// from access() (l2_cursor.ref valid ⇔ the L2 holds the line, i.e.
-  /// an upgrade; otherwise it carries the fill slot + predicted victim);
-  /// they stay valid here because the directory path only mutates *other*
-  /// nodes' caches before the local install.
+  /// One directory transaction in flight. Each protocol action below adds
+  /// its latency to `lat`, so at() is always the time the next message
+  /// leaves.
+  struct Txn {
+    NodeId requestor;
+    NodeId home;
+    Addr line;
+    bool is_write;
+    Cycle now;  ///< time the request leaves the requestor's L2
+    Cycle lat;  ///< latency added since `now`
+    AccessOutcome& out;
+    Cycle at() const { return now + lat; }
+  };
+
+  /// Serves a miss/upgrade at the directory, then installs the line in the
+  /// requestor's L2 and L1; returns added latency. `l1_ref`/`l2_cursor`
+  /// are the requestor's cached tag-walk results from access()
+  /// (l2_cursor.ref valid ⇔ the L2 holds the line, i.e. an upgrade;
+  /// otherwise it carries the fill slot + predicted victim, so the L2
+  /// allocation needs no second set walk). They stay valid here because
+  /// the directory path only mutates *other* nodes' caches before the
+  /// local install.
   Cycle directory_request(NodeId requestor, Addr line, bool is_write,
                           Cycle now, AccessOutcome& out,
                           mem::Cache::LineRef l1_ref,
                           const mem::Cache::FillCursor& l2_cursor);
 
-  /// Installs `line` into requestor's L2+L1 with state `st`, handling
-  /// inclusion victims and dirty writebacks. The L2 allocation reuses the
-  /// miss cursor's fused victim scan — no second set walk. Returns added
-  /// latency.
-  Cycle fill_hierarchy(NodeId requestor, Addr line, mem::LineState st,
-                       Cycle now, const mem::Cache::FillCursor& l2_cursor);
+  // The protocol actions, one member each; every directory_request arm
+  // is a sequence of them.
+  /// Invalidates every node in `sharers` but the requestor. The acks
+  /// return in parallel, so the slowest round trip is charged.
+  void invalidate_sharers(Txn& t, std::uint64_t sharers);
+  /// Reads the line from the home's memory and ships it to the requestor.
+  void fetch_from_home(Txn& t);
+  /// Forwards the request from the home to the line's owner `q`.
+  void forward_to_owner(Txn& t, NodeId q);
+  /// Ships owner `q`'s copy straight to the requestor.
+  void cache_to_cache(Txn& t, NodeId q);
+  /// Grants write permission for data the requestor already holds.
+  void grant_upgrade(Txn& t);
+  /// Installs `line` in `n`'s L1 as `st`, in place when `l1_ref` still
+  /// holds it; a dirty L1 victim's bit moves into its inclusive L2 copy.
+  void refill_l1(Node& n, Addr line, mem::Cache::LineRef l1_ref,
+                 mem::LineState st);
 
   /// Handles an L2 victim: directory update + writeback if dirty.
-  Cycle handle_l2_eviction(NodeId evictor, const mem::Victim& v, Cycle now);
+  void handle_l2_eviction(NodeId evictor, const mem::Victim& v, Cycle now);
+
+  /// Records `ev` when tracing is on.
+  void trace(const obs::TraceEvent& ev) {
+    if (trace_ != nullptr) trace_->record(ev);
+  }
 
   unsigned control_bytes() const { return cfg_.network.control_bytes; }
   unsigned data_bytes() const { return cfg_.l2.line_bytes; }
@@ -143,11 +175,8 @@ class CoherenceFabric {
   /// Observability handles, all null when the layer is off. Grouped so
   /// the instrumented sites read as plain field accesses.
   struct ObsHooks {
-    // Coherence transitions, one per directory-state × op switch arm.
-    obs::CounterHandle trans_uncached_read, trans_uncached_write;
-    obs::CounterHandle trans_shared_read, trans_shared_write;
-    obs::CounterHandle trans_exclusive_read, trans_exclusive_write;
-    obs::CounterHandle trans_owned_read, trans_owned_write;
+    // Coherence transitions, indexed [DirEntry::State][is_write].
+    obs::CounterHandle trans[4][2];
     // Cache victim/refill classes.
     obs::CounterHandle fill_with_victim, fill_no_victim;
     obs::CounterHandle evict_writeback, evict_clean;

@@ -20,8 +20,16 @@ InstrCount MachineConfig::interval_per_processor() const {
 std::string MachineConfig::validate() const {
   std::ostringstream err;
   if (num_nodes == 0) err << "num_nodes must be > 0; ";
+  if (num_nodes > kMaxNodes)
+    err << "at most " << kMaxNodes << " nodes (full-map directory); ";
   if (network.topology == Topology::kHypercube && !is_pow2(num_nodes))
     err << "hypercube requires a power-of-two node count; ";
+  if (network.topology == Topology::kMesh2D ||
+      network.topology == Topology::kTorus2D) {
+    const auto side = static_cast<unsigned>(std::lround(std::sqrt(num_nodes)));
+    if (side * side != num_nodes)
+      err << "mesh/torus requires a square node count; ";
+  }
   if (!is_pow2(predictor.table_entries))
     err << "gshare table must be a power of two; ";
   for (const CacheConfig* c : {&l1, &l2}) {

@@ -19,6 +19,10 @@
 
 namespace dsm {
 
+/// Largest machine: the full-map directory keeps one sharer bit per node
+/// in a 64-bit word.
+inline constexpr unsigned kMaxNodes = 64;
+
 /// Core pipeline parameters (Table I, processor rows).
 struct CoreConfig {
   std::uint64_t frequency_hz = 2'000'000'000;  ///< 2 GHz
@@ -174,8 +178,9 @@ struct MachineConfig {
   Cycle ns_to_cycles(double ns) const;
   /// Per-processor sampling interval (paper: 3M / num_nodes).
   InstrCount interval_per_processor() const;
-  /// Validates invariants (power-of-two structures, nonzero sizes...);
-  /// returns an error description, or empty when valid.
+  /// Validates invariants (a node count the topology can build, at most
+  /// kMaxNodes; power-of-two structures, nonzero sizes...); returns an
+  /// error description, or empty when valid.
   std::string validate() const;
 };
 

@@ -16,7 +16,7 @@ LinkContentionTracker::LinkContentionTracker(std::size_t num_links,
   DSM_ASSERT(capacity_flits_ > 0.0);
 }
 
-void LinkContentionTracker::roll(LinkState& s, std::uint64_t epoch_now) const {
+void LinkContentionTracker::roll(LinkState& s, std::uint64_t epoch_now) {
   if (s.epoch == epoch_now) return;
   if (s.epoch + 1 == epoch_now) {
     s.previous = s.current;
@@ -27,13 +27,6 @@ void LinkContentionTracker::roll(LinkState& s, std::uint64_t epoch_now) const {
   s.epoch = epoch_now;
 }
 
-void LinkContentionTracker::record(LinkId link, Cycle now, double flits) {
-  DSM_ASSERT(link < links_.size());
-  LinkState& s = links_[link];
-  roll(s, now / epoch_cycles_);
-  s.current += flits;
-}
-
 double LinkContentionTracker::delay_and_record_path(
     std::span<const LinkId> links, Cycle now, double alpha, double flits) {
   const std::uint64_t epoch_now = now / epoch_cycles_;
@@ -42,28 +35,12 @@ double LinkContentionTracker::delay_and_record_path(
     DSM_ASSERT(link < links_.size());
     LinkState& s = links_[link];
     roll(s, epoch_now);
-    // min(min(u, 1.0), 0.90) == the utilization() + queueing_delay() caps.
-    const double u =
-        std::min(std::min(s.previous / capacity_flits_, 1.0), 0.90);
+    // Last epoch's utilization, capped (see the header).
+    const double u = std::min(s.previous / capacity_flits_, 0.90);
     total += alpha * u / (1.0 - u);
     s.current += flits;
   }
   return total;
-}
-
-double LinkContentionTracker::utilization(LinkId link, Cycle now) const {
-  DSM_ASSERT(link < links_.size());
-  LinkState& s = links_[link];
-  roll(s, now / epoch_cycles_);
-  return std::min(s.previous / capacity_flits_, 1.0);
-}
-
-double LinkContentionTracker::queueing_delay(LinkId link, Cycle now,
-                                             double alpha) const {
-  // M/M/1-style shape, with utilization capped so a saturated link costs
-  // a bounded (9x alpha) per-hop penalty rather than a runaway tail.
-  const double u = std::min(utilization(link, now), 0.90);
-  return alpha * u / (1.0 - u);
 }
 
 }  // namespace dsm::net

@@ -31,21 +31,14 @@ class LinkContentionTracker {
   LinkContentionTracker(std::size_t num_links, Cycle epoch_cycles,
                         double capacity_flits);
 
-  /// Records that `flits` crossed `link` at time `now`.
-  void record(LinkId link, Cycle now, double flits);
-
-  /// Fused hot-path walk for one message: sums queueing_delay over `links`
-  /// and records `flits` on each, rolling every link's epoch exactly once.
-  /// Identical arithmetic to the queueing_delay-then-record sequence.
+  /// One message's walk: returns the summed queueing delay, in router
+  /// cycles, of crossing `links` at time `now`, and records `flits` on
+  /// each. A link's delay is alpha * u / (1 - u), where u is its
+  /// utilization in the last completed epoch, capped at 0.90 so a
+  /// saturated link costs a bounded (9x alpha) per-hop penalty rather
+  /// than a runaway tail.
   double delay_and_record_path(std::span<const LinkId> links, Cycle now,
                                double alpha, double flits);
-
-  /// Utilization (0..~1) of `link` during the last completed epoch.
-  double utilization(LinkId link, Cycle now) const;
-
-  /// Queueing delay in router cycles for one message crossing `link`:
-  /// alpha * u / (1 - u), capped (u capped at 0.95 to bound the tail).
-  double queueing_delay(LinkId link, Cycle now, double alpha) const;
 
   Cycle epoch_cycles() const { return epoch_cycles_; }
 
@@ -57,13 +50,11 @@ class LinkContentionTracker {
   };
 
   /// Rolls `s` forward so that `s.epoch` is the epoch containing `now`.
-  void roll(LinkState& s, std::uint64_t epoch_now) const;
+  static void roll(LinkState& s, std::uint64_t epoch_now);
 
   Cycle epoch_cycles_;
   double capacity_flits_;
-  /// Dense per-link state; `mutable` because reads at a later time roll the
-  /// epoch window forward (same observable values either way).
-  mutable std::vector<LinkState> links_;
+  std::vector<LinkState> links_;  ///< dense per-link state
 };
 
 }  // namespace dsm::net

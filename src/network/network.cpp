@@ -41,30 +41,17 @@ unsigned Network::flits_for(unsigned payload_bytes) const {
              ceil_div(payload_bytes, cfg_.network.link_bytes_per_flit));
 }
 
+double Network::zero_load_cycles(unsigned hops, unsigned flits) const {
+  // Wormhole: header pays per-hop latency at every hop; the body streams
+  // behind it, adding (flits-1) router cycles of serialization once.
+  return hops * per_hop_cycles_ + (flits - 1) * core_cycles_per_router_cycle_;
+}
+
 Cycle Network::zero_load_latency(NodeId src, NodeId dst,
                                  unsigned payload_bytes) const {
   if (src == dst) return 0;
-  const unsigned h = topo_.hops(src, dst);
-  const unsigned flits = flits_for(payload_bytes);
-  // Wormhole: header pays per-hop latency at every hop; the body streams
-  // behind it, adding (flits-1) router cycles of serialization once.
-  const double cycles =
-      h * per_hop_cycles_ +
-      (flits - 1) * core_cycles_per_router_cycle_;
-  return static_cast<Cycle>(std::ceil(cycles));
-}
-
-double Network::contention_cycles(NodeId src, NodeId dst, Cycle now) const {
-  // The header flit pays the queueing delay at each hop; body flits
-  // pipeline behind it (their serialization is already charged once in
-  // zero_load_latency).
-  if (src == dst) return 0.0;
-  double queue_router_cycles = 0.0;
-  for (const LinkId link : topo_.route(src, dst)) {
-    queue_router_cycles +=
-        tracker_.queueing_delay(link, now, cfg_.network.contention_alpha);
-  }
-  return queue_router_cycles * core_cycles_per_router_cycle_;
+  return static_cast<Cycle>(std::ceil(
+      zero_load_cycles(topo_.hops(src, dst), flits_for(payload_bytes))));
 }
 
 Cycle Network::message_latency(NodeId src, NodeId dst, unsigned payload_bytes,
@@ -76,8 +63,10 @@ Cycle Network::message_latency(NodeId src, NodeId dst, unsigned payload_bytes,
   if (src == dst) return 0;
   const unsigned flits = flits_for(payload_bytes);
   // One route fetch serves both the zero-load term (hops == link count)
-  // and the per-link contention walk; same arithmetic as
-  // zero_load_latency + contention_cycles, ceil'd separately.
+  // and the per-link contention walk; the two terms are ceil'd
+  // separately. The header flit pays the queueing delay at each hop; body
+  // flits pipeline behind it (their serialization is charged once in the
+  // zero-load term).
   const auto path = topo_.route(src, dst);
   if (link_obs_) {
     for (const LinkId link : path) {
@@ -86,20 +75,12 @@ Cycle Network::message_latency(NodeId src, NodeId dst, unsigned payload_bytes,
     }
   }
   const double zero_load =
-      static_cast<double>(path.size()) * per_hop_cycles_ +
-      (flits - 1) * core_cycles_per_router_cycle_;
+      zero_load_cycles(static_cast<unsigned>(path.size()), flits);
   const double queue_router_cycles = tracker_.delay_and_record_path(
       path, now, cfg_.network.contention_alpha, flits);
   return static_cast<Cycle>(std::ceil(zero_load)) +
          static_cast<Cycle>(
              std::ceil(queue_router_cycles * core_cycles_per_router_cycle_));
-}
-
-Cycle Network::probe_latency(NodeId src, NodeId dst, unsigned payload_bytes,
-                             Cycle now) const {
-  if (src == dst) return 0;
-  return zero_load_latency(src, dst, payload_bytes) +
-         static_cast<Cycle>(std::ceil(contention_cycles(src, dst, now)));
 }
 
 std::uint64_t Network::messages_sent(TrafficClass cls) const {

@@ -5,7 +5,8 @@
 //
 //   hops * (pin_to_pin + router pipeline) ... per-hop wire/switch delay
 //   + (flits - 1) * flit_cycle             ... wormhole serialization
-//   + sum over links of queueing_delay     ... analytical contention
+//   + sum over links of the queueing delay ... analytical contention
+//                                              (contention.hpp)
 //
 // all converted into core cycles. Table I: 400 MHz pipelined router
 // (1 flit / 2.5 ns per link), 16 ns pin-to-pin.
@@ -50,10 +51,6 @@ class Network {
   Cycle message_latency(NodeId src, NodeId dst, unsigned payload_bytes,
                         Cycle now, TrafficClass cls);
 
-  /// Latency without recording traffic (for what-if probes).
-  Cycle probe_latency(NodeId src, NodeId dst, unsigned payload_bytes,
-                      Cycle now) const;
-
   /// Zero-load latency (no contention) — used by tests to check the
   /// analytical decomposition.
   Cycle zero_load_latency(NodeId src, NodeId dst,
@@ -66,9 +63,8 @@ class Network {
 
  private:
   unsigned flits_for(unsigned payload_bytes) const;
-  /// Queueing term along the route without recording traffic (const: for
-  /// what-if probes; message_latency records inline on its own walk).
-  double contention_cycles(NodeId src, NodeId dst, Cycle now) const;
+  /// Zero-load latency in (fractional) core cycles of `flits` over `hops`.
+  double zero_load_cycles(unsigned hops, unsigned flits) const;
 
   const MachineConfig& cfg_;
   TopologyModel topo_;

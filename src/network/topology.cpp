@@ -10,6 +10,7 @@ namespace dsm::net {
 TopologyModel::TopologyModel(Topology kind, unsigned nodes)
     : kind_(kind), nodes_(nodes), mesh_side_(0) {
   DSM_ASSERT(nodes > 0);
+  DSM_ASSERT_MSG(nodes <= kMaxNodes, "more nodes than the full-map limit");
   switch (kind_) {
     case Topology::kHypercube:
       DSM_ASSERT_MSG(is_pow2(nodes), "hypercube needs power-of-two nodes");
@@ -29,28 +30,26 @@ TopologyModel::TopologyModel(Topology kind, unsigned nodes)
   // ever produced by route(), so the id space is sparse but bounded.
   links_ = static_cast<std::size_t>(nodes_) * nodes_;
 
-  if (nodes_ <= kPrecomputeMaxNodes) {
-    const std::size_t pairs = static_cast<std::size_t>(nodes_) * nodes_;
-    route_offsets_.resize(pairs + 1, 0);
-    // First pass: per-pair hop counts as offsets; second pass: fill.
-    std::uint32_t total = 0;
-    for (NodeId s = 0; s < nodes_; ++s)
-      for (NodeId d = 0; d < nodes_; ++d) {
-        route_offsets_[static_cast<std::size_t>(s) * nodes_ + d] = total;
-        total += hops(s, d);
-      }
-    route_offsets_[pairs] = total;
-    route_arena_.resize(total);
-    for (NodeId s = 0; s < nodes_; ++s)
-      for (NodeId d = 0; d < nodes_; ++d) {
-        const auto path = compute_route(s, d);
-        std::uint32_t at =
-            route_offsets_[static_cast<std::size_t>(s) * nodes_ + d];
-        for (const LinkId l : path) route_arena_[at++] = l;
-        DSM_ASSERT(at == route_offsets_[static_cast<std::size_t>(s) * nodes_ +
-                                        d + 1]);
-      }
-  }
+  const std::size_t pairs = static_cast<std::size_t>(nodes_) * nodes_;
+  route_offsets_.resize(pairs + 1, 0);
+  // First pass: per-pair hop counts as offsets; second pass: fill.
+  std::uint32_t total = 0;
+  for (NodeId s = 0; s < nodes_; ++s)
+    for (NodeId d = 0; d < nodes_; ++d) {
+      route_offsets_[static_cast<std::size_t>(s) * nodes_ + d] = total;
+      total += hops(s, d);
+    }
+  route_offsets_[pairs] = total;
+  route_arena_.resize(total);
+  for (NodeId s = 0; s < nodes_; ++s)
+    for (NodeId d = 0; d < nodes_; ++d) {
+      const auto path = compute_route(s, d);
+      std::uint32_t at =
+          route_offsets_[static_cast<std::size_t>(s) * nodes_ + d];
+      for (const LinkId l : path) route_arena_[at++] = l;
+      DSM_ASSERT(at ==
+                 route_offsets_[static_cast<std::size_t>(s) * nodes_ + d + 1]);
+    }
 }
 
 LinkId TopologyModel::link_id(NodeId from, NodeId to) const {
@@ -112,14 +111,10 @@ double TopologyModel::mean_hops() const {
 
 std::span<const LinkId> TopologyModel::route(NodeId src, NodeId dst) const {
   DSM_ASSERT(src < nodes_ && dst < nodes_);
-  if (!route_offsets_.empty()) {
-    const std::size_t pair = static_cast<std::size_t>(src) * nodes_ + dst;
-    const std::uint32_t begin = route_offsets_[pair];
-    const std::uint32_t end = route_offsets_[pair + 1];
-    return {route_arena_.data() + begin, end - begin};
-  }
-  route_scratch_ = compute_route(src, dst);
-  return {route_scratch_.data(), route_scratch_.size()};
+  const std::size_t pair = static_cast<std::size_t>(src) * nodes_ + dst;
+  const std::uint32_t begin = route_offsets_[pair];
+  const std::uint32_t end = route_offsets_[pair + 1];
+  return {route_arena_.data() + begin, end - begin};
 }
 
 std::vector<LinkId> TopologyModel::compute_route(NodeId src,

@@ -6,10 +6,11 @@
 //
 // Routing is fully deterministic, so routes are precomputed at construction
 // into one flat arena (CSR layout: per-(src,dst) offsets into a shared link
-// array) and `route()` hands out non-allocating views. At the fabric's
-// 64-node ceiling that is at most 4096 routes × diameter links — a few
-// hundred kB — and it removes the per-message heap allocation that used to
-// sit on the simulator's hottest path.
+// array) and `route()` hands out non-allocating views. At the 64-node
+// ceiling (kMaxNodes, the full-map directory's limit) that is at most 4096
+// routes × diameter links — a few hundred kB — and it removes the
+// per-message heap allocation that used to sit on the simulator's hottest
+// path.
 #pragma once
 
 #include <cstdint>
@@ -32,11 +33,9 @@ using LinkId = std::uint32_t;
 /// orders matching classic wormhole designs.
 class TopologyModel {
  public:
-  /// Node counts up to this bound get the precomputed route table (the
-  /// coherence fabric's full-map directory caps the machine at 64 nodes).
-  /// Larger standalone models fall back to computing routes on demand.
-  static constexpr unsigned kPrecomputeMaxNodes = 64;
-
+  /// `nodes` must be at most kMaxNodes, a power of two for the hypercube
+  /// and a square for the mesh and torus (MachineConfig::validate() checks
+  /// the same rules without aborting).
   TopologyModel(Topology kind, unsigned nodes);
 
   Topology kind() const { return kind_; }
@@ -55,9 +54,7 @@ class TopologyModel {
 
   /// The sequence of directed links the deterministic route traverses.
   /// Empty when src == dst. Allocation-free: a view into the route table
-  /// built at construction, valid for the model's lifetime. (Above
-  /// kPrecomputeMaxNodes the route is computed into a per-model scratch
-  /// buffer instead; that fallback is not safe to call concurrently.)
+  /// built at construction, valid for the model's lifetime.
   std::span<const LinkId> route(NodeId src, NodeId dst) const;
 
   /// Reference implementation: walks the routing algorithm step by step and
@@ -85,7 +82,6 @@ class TopologyModel {
   ///              route_offsets_[src*nodes+dst+1]).
   std::vector<std::uint32_t> route_offsets_;
   std::vector<LinkId> route_arena_;
-  mutable std::vector<LinkId> route_scratch_;  ///< >64-node fallback only
 };
 
 }  // namespace dsm::net

@@ -84,9 +84,8 @@ TEST(NetworkTest, ContentionRaisesLatencyNextEpoch) {
   for (int i = 0; i < 2000; ++i)
     n.message_latency(0, 1, 32, epoch / 2, TrafficClass::kData);
   // In epoch 1 the queueing term must appear.
-  const auto loaded =
-      n.probe_latency(0, 1, 32, epoch + 1);
-  EXPECT_GT(loaded, base);
+  EXPECT_GT(n.message_latency(0, 1, 32, epoch + 1, TrafficClass::kData),
+            base);
 }
 
 TEST(NetworkTest, ContentionDecaysAfterIdleEpoch) {
@@ -97,15 +96,8 @@ TEST(NetworkTest, ContentionDecaysAfterIdleEpoch) {
     n.message_latency(0, 1, 32, epoch / 2, TrafficClass::kData);
   const auto base = n.zero_load_latency(0, 1, 32);
   // Two epochs later with no traffic, utilization resets.
-  EXPECT_EQ(n.probe_latency(0, 1, 32, 3 * epoch + 1), base);
-}
-
-TEST(NetworkTest, ProbeDoesNotRecordTraffic) {
-  auto cfg = cfg32();
-  Network n(cfg);
-  const auto before = n.total_messages();
-  n.probe_latency(0, 5, 32, 0);
-  EXPECT_EQ(n.total_messages(), before);
+  EXPECT_EQ(n.message_latency(0, 1, 32, 3 * epoch + 1, TrafficClass::kData),
+            base);
 }
 
 TEST(NetworkTest, MessageLatencyPathIsAllocationFree) {
@@ -117,35 +109,42 @@ TEST(NetworkTest, MessageLatencyPathIsAllocationFree) {
       g_alloc_count.load(std::memory_order_relaxed);
   Cycle now = 0;
   for (NodeId src = 0; src < 32; ++src)
-    for (NodeId dst = 0; dst < 32; ++dst) {
+    for (NodeId dst = 0; dst < 32; ++dst)
       now += n.message_latency(src, dst, 32, now, TrafficClass::kData);
-      n.probe_latency(src, dst, 32, now);
-    }
   EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), before);
 }
 
-TEST(LinkContentionTrackerTest, UtilizationIsPreviousEpoch) {
-  LinkContentionTracker t(/*num_links=*/128, 1000, 100.0);
-  t.record(7, 500, 50.0);  // epoch 0
-  EXPECT_EQ(t.utilization(7, 900), 0.0);   // still epoch 0: previous empty
-  EXPECT_DOUBLE_EQ(t.utilization(7, 1500), 0.5);  // epoch 1 sees epoch 0
-  EXPECT_EQ(t.utilization(7, 2500), 0.0);  // epoch 2: epoch 1 was idle
+// One message over the single link `link`: its queueing delay, after
+// which `flits` are recorded on the link.
+double cross(LinkContentionTracker& t, LinkId link, Cycle now, double alpha,
+             double flits) {
+  return t.delay_and_record_path({&link, 1}, now, alpha, flits);
 }
 
-TEST(LinkContentionTrackerTest, QueueingDelayShape) {
+TEST(LinkContentionTrackerTest, DelayFollowsThePreviousEpoch) {
   LinkContentionTracker t(/*num_links=*/128, 1000, 100.0);
-  t.record(1, 100, 50.0);
-  // u = 0.5 -> alpha * 0.5/0.5 = alpha.
-  EXPECT_DOUBLE_EQ(t.queueing_delay(1, 1500, 2.0), 2.0);
-  // Unknown link: no delay.
-  EXPECT_DOUBLE_EQ(t.queueing_delay(99, 1500, 2.0), 0.0);
+  EXPECT_EQ(cross(t, 7, 500, 2.0, 50.0), 0.0);  // epoch 0: nothing before
+  EXPECT_EQ(cross(t, 7, 900, 2.0, 0.0), 0.0);   // still epoch 0
+  // Epoch 1 sees epoch 0's u = 0.5 -> alpha * 0.5 / 0.5 = alpha.
+  EXPECT_DOUBLE_EQ(cross(t, 7, 1500, 2.0, 0.0), 2.0);
+  EXPECT_EQ(cross(t, 7, 2500, 2.0, 0.0), 0.0);  // epoch 1 carried nothing
+  EXPECT_EQ(cross(t, 99, 1500, 2.0, 0.0), 0.0);  // an idle link: no delay
 }
 
 TEST(LinkContentionTrackerTest, UtilizationCapBoundsDelay) {
   LinkContentionTracker t(/*num_links=*/128, 1000, 100.0);
-  t.record(1, 100, 1e6);  // absurd overload
+  cross(t, 1, 100, 1.0, 1e6);  // absurd overload
   // Cap at 0.90 -> delay = alpha * 9.
-  EXPECT_DOUBLE_EQ(t.queueing_delay(1, 1500, 1.0), 9.0);
+  EXPECT_DOUBLE_EQ(cross(t, 1, 1500, 1.0, 0.0), 9.0);
+}
+
+TEST(LinkContentionTrackerTest, PathSumsItsLinksAndRecordsOnEach) {
+  LinkContentionTracker t(/*num_links=*/128, 1000, 100.0);
+  const LinkId path[] = {3, 4};
+  EXPECT_EQ(t.delay_and_record_path(path, 100, 1.0, 50.0), 0.0);
+  cross(t, 4, 200, 1.0, 25.0);
+  // Epoch 1: link 3 carried u = 0.5 (delay 1), link 4 u = 0.75 (delay 3).
+  EXPECT_DOUBLE_EQ(t.delay_and_record_path(path, 1100, 1.0, 0.0), 4.0);
 }
 
 }  // namespace
