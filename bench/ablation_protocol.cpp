@@ -57,6 +57,10 @@ struct ProtocolRow {
 
 int main(int argc, char** argv) {
   auto parsed = bench::parse_options(argc, argv);
+  // Every --nodes entry must build on every topology of the sweep (a
+  // square for the mesh), checked before any run or worker starts.
+  for (const Topology topo : kTopologies)
+    parsed = bench::check_node_counts(std::move(parsed), topo);
   if (!parsed.ok) return bench::usage_error(parsed);
   if (const auto rc = bench::maybe_orchestrate(argc, argv, parsed))
     return *rc;
@@ -75,10 +79,12 @@ int main(int argc, char** argv) {
     spec.detectors.push_back(topology_name(topo));
   spec.protocols = opt.protocols;
   spec.scale = opt.scale;
+  const auto points = spec.expand();
+  const bool multi = points.size() > 1;
 
-  return bench::sharded_sweep<sim::RunSummary, ProtocolRow>(
-      spec.expand(), opt, "ablation_protocol",
-      [&opt](const driver::SpecPoint& pt) {
+  return bench::machine_sweep<ProtocolRow>(
+      points, opt, "ablation_protocol",
+      [&opt, multi](const driver::SpecPoint& pt) {
         const auto& app = apps::app_by_name(pt.app);
         MachineConfig cfg = default_config(pt.nodes);
         cfg.network.topology = topology_of(pt);
@@ -86,6 +92,7 @@ int main(int argc, char** argv) {
         cfg.phase.interval_instructions =
             apps::scaled_interval(app.name, pt.scale);
         cfg.seed = protocol_seed(pt);
+        cfg.obs = bench::obs_config_for_point(opt, pt, multi);
         sim::Machine machine(cfg);
         sim::RunSummary run = machine.run(app.factory(pt.scale));
         if (opt.verbose) machine.fabric().check_invariants();

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -31,9 +32,6 @@ ParseResult fail(ParseResult r, std::string msg) {
   return r;
 }
 
-// Each simulated processor is an OS thread; anything past this is a typo,
-// not an experiment.
-constexpr unsigned long kMaxNodes = 4096;
 constexpr unsigned long kMaxThreads = 4096;
 
 }  // namespace
@@ -124,7 +122,7 @@ ParseResult parse_options(int argc, char** argv) {
     } else if (arg.rfind("--nodes=", 0) == 0) {
       for (const auto& n : split(value("--nodes="), ',')) {
         unsigned long v = 0;
-        if (!parse_unsigned(n, 1, kMaxNodes, v))
+        if (!parse_unsigned(n, 1, std::numeric_limits<unsigned>::max(), v))
           return fail(std::move(res), "bad --nodes entry: " + n);
         opt.node_counts.push_back(static_cast<unsigned>(v));
       }
@@ -262,7 +260,26 @@ ParseResult parse_options(int argc, char** argv) {
     return fail(std::move(res),
                 "--csv is not available in sharded runs: collect the NDJSON "
                 "stream and run `dsm_report render --csv=DIR` over it");
-  return res;
+  return check_node_counts(std::move(res), Topology::kHypercube);
+}
+
+ParseResult check_node_counts(ParseResult r, Topology topo) {
+  if (!r.ok) return r;
+  for (const unsigned n : r.options.node_counts) {
+    MachineConfig cfg = default_config(1);
+    cfg.num_nodes = n;
+    cfg.network.topology = topo;
+    const std::string err = cfg.validate();
+    if (err.empty()) continue;
+    std::string msg = "bad --nodes entry ";
+    msg += std::to_string(n);
+    msg += " for a ";
+    msg += topology_name(topo);
+    msg += ": ";
+    msg += err;
+    return fail(std::move(r), std::move(msg));
+  }
+  return r;
 }
 
 std::optional<int> maybe_orchestrate(int argc, char** argv,

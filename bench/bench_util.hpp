@@ -141,8 +141,16 @@ struct ParseResult {
 
 /// Parses the flags usage_text() lists, plus google-benchmark-style
 /// --benchmark* flags, which it ignores. Never exits; malformed input
-/// comes back as ParseResult{ok=false, error}.
+/// comes back as ParseResult{ok=false, error}. Every --nodes entry must
+/// build a hypercube machine (check_node_counts).
 ParseResult parse_options(int argc, char** argv);
+
+/// Fails `r` when one of its --nodes entries cannot build a Table I
+/// machine on `topo` (MachineConfig::validate(): at most kMaxNodes, a
+/// power of two for the hypercube, a square for mesh and torus). A
+/// harness that sweeps more topologies than the default hypercube checks
+/// each one this way before any run starts.
+ParseResult check_node_counts(ParseResult r, Topology topo);
 
 /// The flag reference printed under parse errors.
 const char* usage_text();
@@ -393,8 +401,54 @@ int sharded_sweep(
   return renderer->finish();
 }
 
-/// sharded_sweep specialization for the standard app × nodes product on
-/// Table I machines: bench_util supplies the run step (run_workload with
+/// sharded_sweep over whole machines: `run` simulates one point on a
+/// machine whose ObsConfig it takes from obs_config_for_point, and the
+/// machine's "obs" snapshot and "obs_intervals" timeline ride past the
+/// harness reducer, which neither knows nor cares about them, into the
+/// record envelope. Both are "" when the flags are off, so the default
+/// streams carry no extra bytes.
+template <typename R>
+int machine_sweep(
+    const std::vector<driver::SpecPoint>& points, const BenchOptions& opt,
+    const char* bench_name,
+    const std::function<sim::RunSummary(const driver::SpecPoint&)>& run,
+    const std::function<R(const driver::SpecPoint&, sim::RunSummary&&)>&
+        reduce,
+    const std::function<std::uint64_t(const driver::SpecPoint&)>& seed_of,
+    const std::function<std::string(const driver::SpecPoint&, const R&)>&
+        metrics,
+    const std::function<void(const driver::SpecPoint&, const R&)>&
+        live_observe = {}) {
+  struct Wrapped {
+    R r;
+    std::string obs;
+    std::string obs_intervals;
+  };
+  return sharded_sweep<sim::RunSummary, Wrapped>(
+      points, opt, bench_name, run,
+      [&reduce](const driver::SpecPoint& pt, sim::RunSummary&& summary) {
+        std::string obs = std::move(summary.obs_json);
+        std::string intervals = std::move(summary.obs_intervals_json);
+        return Wrapped{reduce(pt, std::move(summary)), std::move(obs),
+                       std::move(intervals)};
+      },
+      seed_of,
+      [&metrics](const driver::SpecPoint& pt, const Wrapped& w) {
+        return metrics(pt, w.r);
+      },
+      live_observe
+          ? std::function<void(const driver::SpecPoint&, const Wrapped&)>(
+                [&live_observe](const driver::SpecPoint& pt,
+                                const Wrapped& w) { live_observe(pt, w.r); })
+          : std::function<void(const driver::SpecPoint&, const Wrapped&)>(),
+      [](const driver::SpecPoint&, const Wrapped& w) { return w.obs; },
+      [](const driver::SpecPoint&, const Wrapped& w) {
+        return w.obs_intervals;
+      });
+}
+
+/// machine_sweep over the standard app × nodes product on Table I
+/// machines: bench_util supplies the run step (run_workload with
 /// spec_seed seeds); the harness supplies only its reducer and metrics
 /// serializer (its renderer lives in the src/report registry).
 template <typename R>
@@ -421,16 +475,7 @@ int run_reduced_sweep(
   spec.scale = opt.scale;
   const auto points = spec.expand();
   const bool multi = points.size() > 1;
-  // Carry the machine's deterministic metrics snapshot past the harness
-  // reducer, which neither knows nor cares about it; the envelope layer
-  // attaches it as the record's "obs" field. Always "" when --obs-stats
-  // is off, so the wrapper changes no bytes in the default mode.
-  struct Wrapped {
-    R r;
-    std::string obs;
-    std::string obs_intervals;
-  };
-  return sharded_sweep<sim::RunSummary, Wrapped>(
+  return machine_sweep<R>(
       points, opt, bench_name,
       [&opt, multi](const driver::SpecPoint& pt) {
         return run_workload(apps::app_by_name(pt.app), pt.scale, pt.nodes,
@@ -438,25 +483,9 @@ int run_reduced_sweep(
                             protocol_of_point(pt),
                             obs_config_for_point(opt, pt, multi));
       },
-      [&reduce](const driver::SpecPoint& pt, sim::RunSummary&& run) {
-        std::string obs = std::move(run.obs_json);
-        std::string intervals = std::move(run.obs_intervals_json);
-        return Wrapped{reduce(pt, std::move(run)), std::move(obs),
-                       std::move(intervals)};
-      },
+      reduce,
       [](const driver::SpecPoint& pt) { return driver::spec_seed(pt); },
-      [&metrics](const driver::SpecPoint& pt, const Wrapped& w) {
-        return metrics(pt, w.r);
-      },
-      live_observe
-          ? std::function<void(const driver::SpecPoint&, const Wrapped&)>(
-                [&live_observe](const driver::SpecPoint& pt,
-                                const Wrapped& w) { live_observe(pt, w.r); })
-          : std::function<void(const driver::SpecPoint&, const Wrapped&)>(),
-      [](const driver::SpecPoint&, const Wrapped& w) { return w.obs; },
-      [](const driver::SpecPoint&, const Wrapped& w) {
-        return w.obs_intervals;
-      });
+      metrics, live_observe);
 }
 
 }  // namespace dsm::bench

@@ -39,8 +39,10 @@ struct SimResult {
   std::uint64_t net_bytes = 0;
   // Live-only measurement.
   double seconds = 0.0;
-  /// Deterministic metrics snapshot ("" unless --obs-stats).
+  /// Deterministic metrics snapshot ("" unless --obs-stats) and interval
+  /// timeline ("" unless --obs-intervals).
   std::string obs_json;
+  std::string obs_intervals_json;
 
   double sim_mips() const {
     return seconds > 0.0 ? static_cast<double>(instructions) / seconds / 1e6
@@ -60,6 +62,7 @@ SimResult time_config(const apps::AppInfo& app, apps::Scale scale,
   SimResult r;
   r.seconds = std::chrono::duration<double>(t1 - t0).count();
   r.obs_json = std::move(run.obs_json);
+  r.obs_intervals_json = std::move(run.obs_intervals_json);
   for (unsigned p = 0; p < nodes; ++p) {
     r.instructions += run.instructions[p];
     r.cycles += run.final_cycles[p];
@@ -177,6 +180,9 @@ int main(int argc, char** argv) {
       },
       [](const driver::SpecPoint&, const SimResult& r) {
         return r.obs_json;
+      },
+      [](const driver::SpecPoint&, const SimResult& r) {
+        return r.obs_intervals_json;
       });
   if (stream) return rc;
 

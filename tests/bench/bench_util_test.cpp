@@ -85,6 +85,24 @@ TEST(ParseOptionsTest, BadNodesEntriesFail) {
   EXPECT_FALSE(parse({"--nodes=2,+8"}).ok);
 }
 
+TEST(ParseOptionsTest, NodeCountsTheMachineCannotBuildFail) {
+  // Past the full-map directory's 64 nodes, and not a power of two for
+  // the default hypercube: usage errors, not aborts mid-sweep.
+  const auto big = parse({"--nodes=128"});
+  EXPECT_FALSE(big.ok);
+  EXPECT_NE(big.error.find("at most 64"), std::string::npos) << big.error;
+  const auto six = parse({"--nodes=2,6"});
+  EXPECT_FALSE(six.ok);
+  EXPECT_NE(six.error.find("power-of-two"), std::string::npos) << six.error;
+  EXPECT_TRUE(parse({"--nodes=1,64"}).ok);
+  // A harness that also sweeps the 2-D mesh needs square counts.
+  const auto eight = check_node_counts(parse({"--nodes=4,8"}),
+                                       Topology::kMesh2D);
+  EXPECT_FALSE(eight.ok);
+  EXPECT_NE(eight.error.find("square"), std::string::npos) << eight.error;
+  EXPECT_TRUE(check_node_counts(parse({"--nodes=4,16"}), Topology::kMesh2D).ok);
+}
+
 TEST(ParseOptionsTest, ScaleSetReportsExplicitScale) {
   EXPECT_FALSE(parse({}).scale_set);
   EXPECT_FALSE(parse({"--threads=2"}).scale_set);
