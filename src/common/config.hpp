@@ -129,17 +129,11 @@ struct ObsConfig {
   /// interval boundaries (implies stats). Each boundary stores the
   /// machine-wide counter deltas since the previous one, attributed to
   /// the online-detected phase id of the processor that closed it; the
-  /// timeline flows into RunSummary::obs_intervals_json.
+  /// timeline flows into RunSummary::obs_intervals_json. The online
+  /// detector is a BBV-only one at threshold phase.bbv_norm / 8; the ring
+  /// holds sim::Machine::kIntervalRows rows and, when full, overwrites
+  /// the oldest and counts it as dropped.
   bool intervals = false;
-  /// Interval ring capacity (rows of one delta per tracked counter).
-  /// Overflow overwrites the oldest row and counts it as dropped.
-  std::uint32_t interval_capacity = 4096;
-  /// BBV Manhattan-distance threshold for the online detector; 0 means
-  /// the scale-relative default phase.bbv_norm / 8.
-  std::uint64_t interval_bbv_threshold = 0;
-  /// DDS difference threshold for the online detector; <= 0 selects the
-  /// BBV-only detector (no data-dependent phase splitting).
-  double interval_dds_threshold = 0.0;
 };
 
 /// Synchronization-primitive costs (barrier tree, lock handoff). The

@@ -80,7 +80,13 @@ std::uint64_t spec_seed(const SpecPoint& pt) {
 
 std::string spec_label(const SpecPoint& pt) {
   std::string label = pt.app.empty() ? std::string("run") : pt.app;
-  if (pt.nodes != 0) label += "/" + std::to_string(pt.nodes) + "p";
+  if (pt.nodes != 0) {
+    // Appended piecewise: GCC 12 flags `"/" + std::to_string(...)` with a
+    // false -Wrestrict.
+    label += '/';
+    label += std::to_string(pt.nodes);
+    label += 'p';
+  }
   if (!pt.detector.empty()) label += "/" + pt.detector;
   if (!pt.protocol.empty()) label += "/" + pt.protocol;
   return label;

@@ -8,15 +8,12 @@ namespace {
 /// Fixed lane capacities. Handles are raw pointers into the lanes, so the
 /// lanes must never reallocate: reserve once, assert on overflow. 4096
 /// padded counters = 256 KB, 64 Ki histogram buckets = 512 KB — trivial
-/// next to one simulated L2, and far above any current registrant (the
-/// largest is the per-link network lane: 6 links/node * 64 nodes * 2).
+/// next to one simulated L2. The largest registrant is the per-link
+/// network lane, two counters per dense link id (2 * nodes^2), so the
+/// counter lane fits machines of up to 32 nodes.
 constexpr std::size_t kMaxCounters = 4096;
 constexpr std::size_t kMaxHistSlots = 1 << 16;
 }  // namespace
-
-bool is_host_metric(const std::string& name) {
-  return name.rfind("host.", 0) == 0;
-}
 
 MetricsRegistry::MetricsRegistry() {
   slots_.reserve(kMaxCounters);
@@ -25,20 +22,16 @@ MetricsRegistry::MetricsRegistry() {
 
 CounterHandle MetricsRegistry::counter(const std::string& name) {
   DSM_ASSERT_MSG(!name.empty(), "counter needs a name");
-  for (const auto& c : counters_)
-    if (c.name == name) return CounterHandle(&slots_[c.slot].v);
+  for (std::size_t i = 0; i < counter_names_.size(); ++i)
+    if (counter_names_[i] == name) return CounterHandle(&slots_[i].v);
   DSM_ASSERT_MSG(slots_.size() < kMaxCounters,
                  "metrics registry counter lane exhausted");
+  // Registrants must all exist before the interval ring fixes the
+  // tracked slots — a late one would silently fall out of the timeline.
+  DSM_ASSERT_MSG(interval_cap_ == 0,
+                 "counter registered after enable_intervals");
   slots_.emplace_back();
-  counters_.push_back(CounterInfo{name, slots_.size() - 1});
-  if (!is_host_metric(name)) {
-    // Deterministic registrants must all exist before the interval ring
-    // snapshots the tracked-slot set — a late one would silently fall
-    // out of the timeline (end_interval asserts on the count).
-    DSM_ASSERT_MSG(interval_cap_ == 0,
-                   "deterministic counter registered after enable_intervals");
-    ++nonhost_counters_;
-  }
+  counter_names_.push_back(name);
   return CounterHandle(&slots_.back().v);
 }
 
@@ -63,28 +56,22 @@ void MetricsRegistry::enable_intervals(std::uint32_t capacity) {
   DSM_ASSERT_MSG(interval_cap_ == 0, "enable_intervals called twice");
   DSM_ASSERT_MSG(capacity >= 1, "interval ring needs capacity >= 1");
   interval_cap_ = capacity;
-  tracked_.reserve(nonhost_counters_);
-  for (const auto& c : counters_)
-    if (!is_host_metric(c.name)) tracked_.push_back(c.slot);
-  baseline_.resize(tracked_.size(), 0);
-  ring_deltas_.resize(static_cast<std::size_t>(capacity) * tracked_.size(), 0);
+  baseline_.resize(slots_.size(), 0);
+  ring_deltas_.resize(static_cast<std::size_t>(capacity) * slots_.size(), 0);
   ring_meta_.resize(capacity);
   begin_interval();
 }
 
 void MetricsRegistry::begin_interval() {
-  for (std::size_t i = 0; i < tracked_.size(); ++i)
-    baseline_[i] = slots_[tracked_[i]].v;
+  for (std::size_t i = 0; i < baseline_.size(); ++i)
+    baseline_[i] = slots_[i].v;
 }
 
 void MetricsRegistry::end_interval(const IntervalMeta& meta) {
   DSM_ASSERT_MSG(interval_cap_ != 0, "end_interval before enable_intervals");
-  DSM_ASSERT_MSG(nonhost_counters_ == tracked_.size(),
-                 "deterministic counter registered after enable_intervals");
-  const std::size_t row =
-      static_cast<std::size_t>(ring_next_) * tracked_.size();
-  for (std::size_t i = 0; i < tracked_.size(); ++i) {
-    const std::uint64_t v = slots_[tracked_[i]].v;
+  const std::size_t row = static_cast<std::size_t>(ring_next_) * slots_.size();
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const std::uint64_t v = slots_[i].v;
     ring_deltas_[row + i] = v - baseline_[i];
     baseline_[i] = v;
   }
@@ -98,11 +85,7 @@ void MetricsRegistry::end_interval(const IntervalMeta& meta) {
 }
 
 std::vector<std::string> MetricsRegistry::interval_slot_names() const {
-  std::vector<std::string> names;
-  names.reserve(tracked_.size());
-  for (const auto& c : counters_)
-    if (!is_host_metric(c.name)) names.push_back(c.name);
-  return names;
+  return interval_cap_ != 0 ? counter_names_ : std::vector<std::string>();
 }
 
 std::vector<CapturedInterval> MetricsRegistry::captured_intervals() const {
@@ -115,32 +98,29 @@ std::vector<CapturedInterval> MetricsRegistry::captured_intervals() const {
     const std::uint32_t idx = (start + k) % interval_cap_;
     CapturedInterval ci;
     ci.meta = ring_meta_[idx];
-    const std::size_t row = static_cast<std::size_t>(idx) * tracked_.size();
+    const std::size_t row = static_cast<std::size_t>(idx) * slots_.size();
     ci.deltas.assign(ring_deltas_.begin() + static_cast<std::ptrdiff_t>(row),
                      ring_deltas_.begin() +
-                         static_cast<std::ptrdiff_t>(row + tracked_.size()));
+                         static_cast<std::ptrdiff_t>(row + slots_.size()));
     out.push_back(std::move(ci));
   }
   return out;
 }
 
 std::vector<std::uint64_t> MetricsRegistry::interval_tail() const {
-  std::vector<std::uint64_t> out(tracked_.size(), 0);
-  for (std::size_t i = 0; i < tracked_.size(); ++i)
-    out[i] = slots_[tracked_[i]].v - baseline_[i];
+  std::vector<std::uint64_t> out(baseline_.size(), 0);
+  for (std::size_t i = 0; i < baseline_.size(); ++i)
+    out[i] = slots_[i].v - baseline_[i];
   return out;
 }
 
 std::string MetricsRegistry::intervals_json() const {
   if (interval_cap_ == 0) return "";
   std::string out = "{\"slots\":[";
-  bool first = true;
-  for (const auto& c : counters_) {
-    if (is_host_metric(c.name)) continue;
-    if (!first) out += ',';
-    first = false;
+  for (std::size_t i = 0; i < counter_names_.size(); ++i) {
+    if (i != 0) out += ',';
     out += '"';
-    out += c.name;
+    out += counter_names_[i];
     out += '"';
   }
   out += "],\"capacity\":";
@@ -163,44 +143,38 @@ std::string MetricsRegistry::intervals_json() const {
     out += std::to_string(m.phase);
     out += ',';
     out += std::to_string(m.end_cycle);
-    const std::size_t row = static_cast<std::size_t>(idx) * tracked_.size();
-    for (std::size_t i = 0; i < tracked_.size(); ++i) {
+    const std::size_t row = static_cast<std::size_t>(idx) * slots_.size();
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
       out += ',';
       out += std::to_string(ring_deltas_[row + i]);
     }
     out += ']';
   }
   out += "],\"tail\":[";
-  for (std::size_t i = 0; i < tracked_.size(); ++i) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
     if (i != 0) out += ',';
-    out += std::to_string(slots_[tracked_[i]].v - baseline_[i]);
+    out += std::to_string(slots_[i].v - baseline_[i]);
   }
   out += "]}";
   return out;
 }
 
-std::string MetricsRegistry::render_json(bool host) const {
+std::string MetricsRegistry::snapshot_json() const {
   // Hand-rolled for byte-stability: names contain no characters needing
   // escape (registrants use [a-z0-9._] by convention) and values are
   // plain uint64 — the exact bytes must match across every execution
   // mode, so no locale- or double-formatting is allowed near here.
   std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& c : counters_) {
-    if (is_host_metric(c.name) != host) continue;
-    if (!first) out += ',';
-    first = false;
+  for (std::size_t i = 0; i < counter_names_.size(); ++i) {
+    if (i != 0) out += ',';
     out += '"';
-    out += c.name;
+    out += counter_names_[i];
     out += "\":";
-    out += std::to_string(slots_[c.slot].v);
+    out += std::to_string(slots_[i].v);
   }
   out += "},\"histograms\":{";
-  first = true;
   for (const auto& h : hists_) {
-    if (is_host_metric(h.name) != host) continue;
-    if (!first) out += ',';
-    first = false;
+    if (&h != &hists_.front()) out += ',';
     out += '"';
     out += h.name;
     out += "\":[";
@@ -214,17 +188,9 @@ std::string MetricsRegistry::render_json(bool host) const {
   return out;
 }
 
-std::string MetricsRegistry::snapshot_json() const {
-  return render_json(/*host=*/false);
-}
-
-std::string MetricsRegistry::host_json() const {
-  return render_json(/*host=*/true);
-}
-
 std::uint64_t MetricsRegistry::value(const std::string& name) const {
-  for (const auto& c : counters_)
-    if (c.name == name) return slots_[c.slot].v;
+  for (std::size_t i = 0; i < counter_names_.size(); ++i)
+    if (counter_names_[i] == name) return slots_[i].v;
   return 0;
 }
 

@@ -10,10 +10,7 @@
 // Determinism contract: counters are incremented only at *simulated-event*
 // sites (directory transitions, fills, evictions, link traversals), which
 // the fabric executes in the same order regardless of --threads/--shards
-// — so snapshot_json() is byte-identical across all of them. Host-side
-// diagnostics register under the reserved "host." prefix and are
-// EXCLUDED from the deterministic snapshot; read them with value() /
-// host_json() instead.
+// — so snapshot_json() is byte-identical across all of them.
 #pragma once
 
 #include <cstddef>
@@ -104,16 +101,11 @@ class MetricsRegistry {
   /// bucket absorbs overflow). Re-registration must agree on the width.
   HistogramHandle histogram(const std::string& name, std::uint32_t buckets);
 
-  /// Deterministic JSON snapshot of every non-"host." metric, in
-  /// registration order:
+  /// Deterministic JSON snapshot of every metric, in registration order:
   ///   {"counters":{...},"histograms":{"name":[b0,...],...}}
   /// Identical across --threads/--shards by the determinism contract
   /// above.
   std::string snapshot_json() const;
-
-  /// Host-side diagnostics ("host." prefix) as the same JSON shape.
-  /// Not deterministic; never merged into records.
-  std::string host_json() const;
 
   /// Current value of a counter by name (0 if unregistered). Tests.
   std::uint64_t value(const std::string& name) const;
@@ -121,14 +113,14 @@ class MetricsRegistry {
   /// Bucket values of a histogram by name (empty if unregistered). Tests.
   std::vector<std::uint64_t> histogram_values(const std::string& name) const;
 
-  std::size_t num_counters() const { return counters_.size(); }
+  std::size_t num_counters() const { return counter_names_.size(); }
 
   // ---- interval-scoped snapshots (the cheap epoch mechanism) ----
   //
-  // enable_intervals() is called ONCE, after every deterministic
-  // registrant has registered (for sim::Machine: at the end of its
-  // constructor): it snapshots the set of non-"host." counters as the
-  // tracked slots and preallocates a ring of `capacity` interval rows,
+  // enable_intervals() is called ONCE, after every registrant has
+  // registered (for sim::Machine: at the end of its constructor): it
+  // fixes the registered counters as the tracked slots and preallocates
+  // a ring of `capacity` interval rows,
   // each one delta per tracked slot. From then on end_interval() captures
   // the per-slot deltas since the previous boundary into the next ring
   // row and re-baselines — zero allocation, O(tracked slots), executed
@@ -188,40 +180,28 @@ class MetricsRegistry {
     std::uint64_t v = 0;
   };
 
-  struct CounterInfo {
-    std::string name;
-    std::size_t slot;
-  };
   struct HistInfo {
     std::string name;
     std::size_t base;
     std::uint32_t buckets;
   };
 
-  std::string render_json(bool host) const;
-
   std::vector<Slot> slots_;                 ///< capacity fixed at ctor
   std::vector<std::uint64_t> hist_slots_;   ///< capacity fixed at ctor
-  std::vector<CounterInfo> counters_;
+  std::vector<std::string> counter_names_;  ///< counter i is slots_[i]
   std::vector<HistInfo> hists_;
 
-  // Interval ring (enable_intervals). tracked_ holds the slot index of
-  // every non-host counter at enable time; registrations after that are
-  // a contract violation end_interval() asserts against.
+  // Interval ring (enable_intervals). Every counter is tracked:
+  // counter() refuses registrations after enable time, so the tracked
+  // slots are exactly slots_.
   std::uint32_t interval_cap_ = 0;
-  std::vector<std::size_t> tracked_;          ///< slot index per tracked
   std::vector<std::uint64_t> baseline_;       ///< value at last boundary
-  std::vector<std::uint64_t> ring_deltas_;    ///< cap × tracked_.size()
+  std::vector<std::uint64_t> ring_deltas_;    ///< cap × slots_.size()
   std::vector<IntervalMeta> ring_meta_;       ///< cap entries
   std::uint32_t ring_next_ = 0;
   std::uint32_t ring_count_ = 0;
   std::uint64_t interval_captured_ = 0;
   std::uint64_t interval_dropped_ = 0;
-  std::size_t nonhost_counters_ = 0;  ///< maintained by counter()
 };
-
-/// True when `name` is a host-side diagnostic (excluded from the
-/// deterministic snapshot).
-bool is_host_metric(const std::string& name);
 
 }  // namespace dsm::obs

@@ -74,7 +74,9 @@ void PullWorker::beat() {
     hb.last_spec = last_spec_;
   }
   hb.bench = bench_;
-  hb.shard = "w" + std::to_string(worker_id_);
+  // Built by append: GCC 12 flags `"w" + std::to_string(...)` with a
+  // false -Wrestrict.
+  hb.shard = std::string(1, 'w').append(std::to_string(worker_id_));
   hb.total = total_;
   transport_->send_line(stamp_heartbeat(hb, start_ms_));
 }

@@ -58,23 +58,12 @@ Machine::Machine(const MachineConfig& cfg)
     lanes_.push_back(HotLane{procs_[i].get(), cores_[i].get(),
                              sched_.cycle_slot(i), ddv_.observe_row(i)});
   if (cfg_.obs.intervals) {
-    phase::Thresholds t;
-    t.bbv = cfg_.obs.interval_bbv_threshold != 0
-                ? cfg_.obs.interval_bbv_threshold
-                : cfg_.phase.bbv_norm / 8;
-    t.dds = cfg_.obs.interval_dds_threshold;
-    obs_detectors_.reserve(cfg_.num_nodes);
-    for (unsigned i = 0; i < cfg_.num_nodes; ++i) {
-      if (t.dds > 0.0)
-        obs_detectors_.push_back(std::make_unique<phase::BbvDdvDetector>(
-            cfg_.phase.footprint_vectors, t));
-      else
-        obs_detectors_.push_back(std::make_unique<phase::BbvDetector>(
-            cfg_.phase.footprint_vectors, t));
-    }
-    // All deterministic registrants (network links, fabric hooks) ran in
-    // the member initializers above, so the tracked-slot set is final.
-    obs_.metrics().enable_intervals(cfg_.obs.interval_capacity);
+    obs_detectors_.assign(
+        cfg_.num_nodes, phase::BbvDetector(cfg_.phase.footprint_vectors,
+                                           {.bbv = cfg_.phase.bbv_norm / 8}));
+    // All registrants (network links, fabric hooks) ran in the member
+    // initializers above, so the tracked-slot set is final.
+    obs_.metrics().enable_intervals(kIntervalRows);
   }
 }
 
@@ -126,7 +115,7 @@ void Machine::end_interval(unsigned tid) {
   // before the record is moved into the trace. Pure observation — the
   // detected id feeds the metrics timeline and the trace event only.
   PhaseId det_phase = kNoPhase;
-  if (!obs_detectors_.empty()) det_phase = obs_detectors_[tid]->classify(rec).phase;
+  if (!obs_detectors_.empty()) det_phase = obs_detectors_[tid].classify(rec).phase;
   ps.intervals.push_back(std::move(rec));
 
   if (obs_.intervals_enabled()) {

@@ -78,6 +78,9 @@ struct RunSummary {
 
 class Machine {
  public:
+  /// Rows of the --obs-intervals ring (one delta per counter each).
+  static constexpr std::uint32_t kIntervalRows = 4096;
+
   explicit Machine(const MachineConfig& cfg);
 
   /// Runs the SPMD application (all processors execute `app`) and returns
@@ -158,7 +161,7 @@ class Machine {
   /// (cfg.obs.intervals). classify() is pure w.r.t. simulated state —
   /// phase ids only label captured intervals and trace events, so the
   /// observability non-perturbation contract holds.
-  std::vector<std::unique_ptr<phase::PhaseDetector>> obs_detectors_;
+  std::vector<phase::BbvDetector> obs_detectors_;
   InstrCount interval_len_;
   bool ran_ = false;
 };

@@ -35,7 +35,6 @@ TEST(IntervalRingTest, CapturesDeltasAndRebaselines) {
   obs::MetricsRegistry reg;
   obs::CounterHandle a = reg.counter("coh.a");
   obs::CounterHandle b = reg.counter("coh.b");
-  reg.counter("host.noise");  // host metrics are never tracked
 
   a.add(5);
   reg.enable_intervals(8);
@@ -137,7 +136,7 @@ TEST_P(IntervalDeterminismTest, RowsPlusTailReconcileWithSnapshot) {
   ASSERT_TRUE(report::parse_json(run.obs_intervals_json, &iv, &err)) << err;
   ASSERT_TRUE(report::parse_json(run.obs_json, &snap, &err)) << err;
   ASSERT_EQ(iv.at("dropped").unsigned_int(), 0u)
-      << "test workload overflows the default ring; widen interval_capacity";
+      << "test workload overflows the ring; widen Machine::kIntervalRows";
 
   const auto& slots = iv.at("slots").items();
   ASSERT_FALSE(slots.empty());

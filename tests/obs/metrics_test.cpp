@@ -1,8 +1,8 @@
 // metrics_test.cpp — the deterministic metrics registry's contracts:
 // registration order defines snapshot order, re-registration by name
-// dedups to the same slot, null handles are no-ops, "host." metrics stay
-// out of the deterministic snapshot, and the JSON rendering is byte-
-// stable (the property the NDJSON determinism comparisons rest on).
+// dedups to the same slot, null handles are no-ops, and the JSON
+// rendering is byte-stable (the property the NDJSON determinism
+// comparisons rest on).
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -59,28 +59,6 @@ TEST(MetricsTest, HistogramClampsIntoLastBucket) {
   const std::vector<std::uint64_t> want{1, 1, 0, 2};
   EXPECT_EQ(reg.histogram_values("dir.probe_len"), want);
   EXPECT_TRUE(reg.histogram_values("no.such.hist").empty());
-}
-
-TEST(MetricsTest, HostMetricsAreExcludedFromTheDeterministicSnapshot) {
-  EXPECT_TRUE(is_host_metric("host.example"));
-  EXPECT_FALSE(is_host_metric("coh.fill.no_victim"));
-  EXPECT_FALSE(is_host_metric("net.host.msgs"));  // prefix, not substring
-
-  MetricsRegistry reg;
-  CounterHandle sim = reg.counter("coh.evict.clean");
-  CounterHandle host = reg.counter("host.example");
-  sim.inc();
-  host.add(7);
-
-  const std::string snap = reg.snapshot_json();
-  EXPECT_NE(snap.find("coh.evict.clean"), std::string::npos);
-  EXPECT_EQ(snap.find("host.example"), std::string::npos);
-
-  const std::string host_json = reg.host_json();
-  EXPECT_EQ(host_json.find("coh.evict.clean"), std::string::npos);
-  EXPECT_NE(host_json.find("host.example"), std::string::npos);
-  // The host view still reads the live slot.
-  EXPECT_EQ(reg.value("host.example"), 7u);
 }
 
 // The snapshot is a byte-level artifact (it is spliced into NDJSON

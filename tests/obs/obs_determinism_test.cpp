@@ -76,12 +76,10 @@ TEST_P(ObsDeterminismTest, RepeatRunsAreBitIdentical) {
 
   ASSERT_FALSE(one.snapshot.empty());
   EXPECT_EQ(one.snapshot, two.snapshot);
-  // The deterministic snapshot carries the coherence and network lanes
-  // but never a "host." diagnostic.
+  // The deterministic snapshot carries the coherence and network lanes.
   EXPECT_NE(one.snapshot.find("coh.trans."), std::string::npos);
   EXPECT_NE(one.snapshot.find("net.link"), std::string::npos);
   EXPECT_NE(one.snapshot.find("dir.probe_len"), std::string::npos);
-  EXPECT_EQ(one.snapshot.find("host."), std::string::npos);
 
   expect_identical_traces(one.trace, two.trace);
 }

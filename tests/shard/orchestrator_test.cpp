@@ -33,7 +33,9 @@ class VectorSource : public LineSource {
 std::string line_for(std::size_t index, const std::string& bench = "b") {
   StreamRecord r;
   r.spec_index = index;
-  r.key = "k" + std::to_string(index);
+  // Built by append: GCC 12 flags `"k" + std::to_string(...)` with a
+  // false -Wrestrict.
+  r.key = std::string(1, 'k').append(std::to_string(index));
   return format_record(bench, r);
 }
 
