@@ -54,19 +54,17 @@ int main(int argc, char** argv) {
   spec.node_counts = opt.node_counts;
   spec.thresholds = {0.5, 1.0, 2.0, 4.0};  // interval-length factors
   spec.scale = opt.scale;
-  const auto points = spec.expand();
-  const bool multi = points.size() > 1;
 
   return bench::machine_sweep<IntervalRow>(
-      points, opt, "ablation_intervals",
-      [&opt, multi](const driver::SpecPoint& pt) {
+      spec.expand(), opt, "ablation_intervals",
+      [](const driver::SpecPoint& pt, const ObsConfig& obs) {
         const auto& app = apps::app_by_name(pt.app);
         const InstrCount base = apps::scaled_interval(app.name, pt.scale);
         MachineConfig cfg = default_config(pt.nodes);
         cfg.phase.interval_instructions = static_cast<InstrCount>(
             static_cast<double>(base) * pt.threshold);
         cfg.seed = interval_seed(pt);
-        cfg.obs = bench::obs_config_for_point(opt, pt, multi);
+        cfg.obs = obs;
         sim::Machine machine(cfg);
         return machine.run(app.factory(pt.scale));
       },

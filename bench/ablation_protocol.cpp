@@ -79,12 +79,10 @@ int main(int argc, char** argv) {
     spec.detectors.push_back(topology_name(topo));
   spec.protocols = opt.protocols;
   spec.scale = opt.scale;
-  const auto points = spec.expand();
-  const bool multi = points.size() > 1;
 
   return bench::machine_sweep<ProtocolRow>(
-      points, opt, "ablation_protocol",
-      [&opt, multi](const driver::SpecPoint& pt) {
+      spec.expand(), opt, "ablation_protocol",
+      [&opt](const driver::SpecPoint& pt, const ObsConfig& obs) {
         const auto& app = apps::app_by_name(pt.app);
         MachineConfig cfg = default_config(pt.nodes);
         cfg.network.topology = topology_of(pt);
@@ -92,7 +90,7 @@ int main(int argc, char** argv) {
         cfg.phase.interval_instructions =
             apps::scaled_interval(app.name, pt.scale);
         cfg.seed = protocol_seed(pt);
-        cfg.obs = bench::obs_config_for_point(opt, pt, multi);
+        cfg.obs = obs;
         sim::Machine machine(cfg);
         sim::RunSummary run = machine.run(app.factory(pt.scale));
         if (opt.verbose) machine.fabric().check_invariants();

@@ -67,19 +67,17 @@ int main(int argc, char** argv) {
   for (const Topology topo : kTopologies)
     spec.detectors.push_back(topology_name(topo));
   spec.scale = opt.scale;
-  const auto points = spec.expand();
-  const bool multi = points.size() > 1;
 
   return bench::machine_sweep<TopologyRow>(
-      points, opt, "ablation_topology",
-      [&opt, multi](const driver::SpecPoint& pt) {
+      spec.expand(), opt, "ablation_topology",
+      [](const driver::SpecPoint& pt, const ObsConfig& obs) {
         const auto& app = apps::app_by_name(pt.app);
         MachineConfig cfg = default_config(pt.nodes);
         cfg.network.topology = topology_of(pt);
         cfg.phase.interval_instructions =
             apps::scaled_interval(app.name, pt.scale);
         cfg.seed = topology_seed(pt);
-        cfg.obs = bench::obs_config_for_point(opt, pt, multi);
+        cfg.obs = obs;
         sim::Machine machine(cfg);
         return machine.run(app.factory(pt.scale));
       },

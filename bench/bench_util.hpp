@@ -402,16 +402,18 @@ int sharded_sweep(
 }
 
 /// sharded_sweep over whole machines: `run` simulates one point on a
-/// machine whose ObsConfig it takes from obs_config_for_point, and the
-/// machine's "obs" snapshot and "obs_intervals" timeline ride past the
-/// harness reducer, which neither knows nor cares about them, into the
-/// record envelope. Both are "" when the flags are off, so the default
-/// streams carry no extra bytes.
+/// machine configured with the ObsConfig it is handed (the point's
+/// --obs-stats/--obs-intervals/--trace, from obs_config_for_point), and
+/// the machine's "obs" snapshot and "obs_intervals" timeline ride past
+/// the harness reducer, which neither knows nor cares about them, into
+/// the record envelope. Both are "" when the flags are off, so the
+/// default streams carry no extra bytes.
 template <typename R>
 int machine_sweep(
     const std::vector<driver::SpecPoint>& points, const BenchOptions& opt,
     const char* bench_name,
-    const std::function<sim::RunSummary(const driver::SpecPoint&)>& run,
+    const std::function<sim::RunSummary(const driver::SpecPoint&,
+                                        const ObsConfig&)>& run,
     const std::function<R(const driver::SpecPoint&, sim::RunSummary&&)>&
         reduce,
     const std::function<std::uint64_t(const driver::SpecPoint&)>& seed_of,
@@ -424,8 +426,12 @@ int machine_sweep(
     std::string obs;
     std::string obs_intervals;
   };
+  const bool multi = points.size() > 1;
   return sharded_sweep<sim::RunSummary, Wrapped>(
-      points, opt, bench_name, run,
+      points, opt, bench_name,
+      [&run, &opt, multi](const driver::SpecPoint& pt) {
+        return run(pt, obs_config_for_point(opt, pt, multi));
+      },
       [&reduce](const driver::SpecPoint& pt, sim::RunSummary&& summary) {
         std::string obs = std::move(summary.obs_json);
         std::string intervals = std::move(summary.obs_intervals_json);
@@ -473,15 +479,12 @@ int run_reduced_sweep(
   spec.node_counts = nodes;
   spec.protocols = opt.protocols;
   spec.scale = opt.scale;
-  const auto points = spec.expand();
-  const bool multi = points.size() > 1;
   return machine_sweep<R>(
-      points, opt, bench_name,
-      [&opt, multi](const driver::SpecPoint& pt) {
+      spec.expand(), opt, bench_name,
+      [&opt](const driver::SpecPoint& pt, const ObsConfig& obs) {
         return run_workload(apps::app_by_name(pt.app), pt.scale, pt.nodes,
                             opt.verbose, driver::spec_seed(pt),
-                            protocol_of_point(pt),
-                            obs_config_for_point(opt, pt, multi));
+                            protocol_of_point(pt), obs);
       },
       reduce,
       [](const driver::SpecPoint& pt) { return driver::spec_seed(pt); },

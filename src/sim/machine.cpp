@@ -115,7 +115,8 @@ void Machine::end_interval(unsigned tid) {
   // before the record is moved into the trace. Pure observation — the
   // detected id feeds the metrics timeline and the trace event only.
   PhaseId det_phase = kNoPhase;
-  if (!obs_detectors_.empty()) det_phase = obs_detectors_[tid].classify(rec).phase;
+  if (!obs_detectors_.empty())
+    det_phase = obs_detectors_[tid].classify(rec).phase;
   ps.intervals.push_back(std::move(rec));
 
   if (obs_.intervals_enabled()) {
