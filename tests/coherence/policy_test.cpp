@@ -200,6 +200,38 @@ TEST(MoesiFabricTest, OwnerUpgradesItsOwnOwnedLine) {
   r.fabric.check_invariants();
 }
 
+TEST(MoesiFabricTest, EvictedOwnedLineLeavesItsSharersShared) {
+  // A direct-mapped 4 KiB L2, so the line 4 KiB above `a` evicts it.
+  MachineConfig cfg = default_config(4);
+  cfg.protocol = Protocol::kMoesi;
+  cfg.l1.size_bytes = 1024;
+  cfg.l2.size_bytes = 4096;
+  cfg.l2.associativity = 1;
+  ASSERT_EQ(cfg.validate(), "");
+  net::Network network(cfg);
+  mem::HomeMap home_map(4, cfg.memory.page_bytes,
+                        mem::Placement::kRoundRobin);
+  CoherenceFabric fabric(cfg, network, home_map);
+  const Addr a = 2 * cfg.memory.page_bytes;  // homed at node 2
+  fabric.access(0, a, true, 0);
+  fabric.access(1, a, false, 100);  // 0: O, 1: S, dir kOwned
+  fabric.access(0, a + cfg.l2.size_bytes, false, 200);  // evicts 0's O
+
+  EXPECT_EQ(fabric.stats(0).writebacks, 1u);
+  EXPECT_EQ(fabric.l2(0).state(a), LineState::kInvalid);
+  EXPECT_EQ(fabric.l2(1).state(a), LineState::kShared);
+  // The writeback refreshed memory, so the survivor's entry is a plain
+  // kShared with no owner, and the next reader is served by memory
+  // instead of being forwarded to the evicted owner. (check_invariants
+  // accepts a kOwned entry whose owner is gone, so this is checked here.)
+  const DirEntry e = fabric.directory(2).peek(a);
+  EXPECT_EQ(e.state, DirEntry::State::kShared);
+  EXPECT_EQ(e.owner, kNoNode);
+  EXPECT_EQ(e.sharers, std::uint64_t{1} << 1);
+  EXPECT_EQ(fabric.access(3, a, false, 300).source, DataSource::kRemoteMem);
+  fabric.check_invariants();
+}
+
 // Randomized fuzz under small caches: constant evictions exercise the
 // O-line writeback path (dirty eviction that must demote the directory
 // entry to kShared, not erase it, while S copies survive) and the MSI
