@@ -18,7 +18,8 @@ for neither) and a verdict:
   regression    the new median is worse than the base's by more than the
                 metric's bound (a share of the base median)
   within bound  otherwise
-Exits 1 if any run fails or reports "correct": false.
+Exits 1 if any run fails or reports "correct": false, else 3 if any
+metric's verdict is regression, else 0, so an A/B can gate on it.
 """
 import argparse
 import json
@@ -94,6 +95,7 @@ def main():
     print(f"{args.workload}: {args.pairs} pairs, {args.seconds:g} s runs")
     print(f"{'metric':<14}{'base q1/med/q3':>28}{'new q1/med/q3':>28}"
           f"{'wins':>7}  verdict")
+    regressed = False
     for m in metrics:
         name = m["name"]
         base = [r[name]["value"] for r in results["base"]]
@@ -102,8 +104,12 @@ def main():
         wins = sum(1 for b, n in zip(base, new)
                    if (n < b if lower else n > b))
         fmt = lambda xs: "/".join(f"{q:.4g}" for q in quartiles(xs))
+        v = verdict(m, base, new, wins)
+        regressed = regressed or v == "regression"
         print(f"{name:<14}{fmt(base):>28}{fmt(new):>28}"
-              f"{wins:>4}/{len(base):<2}  {verdict(m, base, new, wins)}")
+              f"{wins:>4}/{len(base):<2}  {v}")
+    if regressed:
+        sys.exit(3)
 
 
 if __name__ == "__main__":

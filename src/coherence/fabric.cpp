@@ -492,6 +492,19 @@ void CoherenceFabric::check_invariants() const {
             DSM_ASSERT_MSG(e.owner != p, "registered owner holds S, not O");
         }
       });
+      // A registered owner still holds its line: O for kOwned, E or M for
+      // kExclusive. An evicted owner is no sharer, so the walk above
+      // does not see it.
+      if (e.state == DirEntry::State::kOwned ||
+          e.state == DirEntry::State::kExclusive) {
+        DSM_ASSERT_MSG(e.owner < n, "registered owner is no node");
+        const LineState so = nodes_[e.owner].l2.state(line);
+        DSM_ASSERT_MSG(e.state == DirEntry::State::kOwned
+                           ? so == LineState::kOwned
+                           : so == LineState::kExclusive ||
+                                 so == LineState::kModified,
+                       "registered owner does not hold its line");
+      }
     });
   }
   // 3) Every cached copy is attributed: each bit above named a distinct

@@ -23,11 +23,6 @@ constexpr std::uint64_t ceil_pow2(std::uint64_t v) noexcept {
   return std::bit_ceil(v);
 }
 
-/// Number of set bits.
-constexpr unsigned popcount64(std::uint64_t v) noexcept {
-  return static_cast<unsigned>(std::popcount(v));
-}
-
 /// Calls fn(index) for every set bit of `bits` in ascending order — a
 /// ctz loop, so iterating a sharer bitset costs O(popcount) instead of a
 /// full O(nodes) scan.

@@ -6,21 +6,25 @@
 // state. Timing is composed by the node model (memory/mem_controller.hpp,
 // coherence/directory.hpp) from the configured hit latencies.
 //
-// Data layout: one fixed-stride record per set, so a lookup, its hit
-// bookkeeping and its fill touch one host line — for the 8-way L2 a
-// record is 32-bit tag keys (32 B), states (8 B) and LRU ranks (8 B)
-// inside one 64-byte host line. A key is the line's tag plus one, so an
-// empty way is all zeros and a never-touched set needs no initialisation:
-// the records live in an anonymous private mapping, construction writes
-// nothing, and only the pages holding sets the run touches become
-// resident (a Table I L2 spans 512 KiB of records; a bench-scale run
-// touches a few percent of its lines). A fill writes a page before it
-// reads it, so each page faults in once, writable. Ranks order the ways
-// by recency: a touch or fill moves its way to rank associativity-1 and
-// lowers every rank above the way's old one, so the ways ever filled
-// hold the top ranks in recency order and a full set's rank-0 way is its
-// LRU way. A direct-mapped cache (associativity == 1) skips the walk and
-// the ranks: the set index *is* the way and the hit test is branch-free.
+// Data layout: each way is one 32-bit word — its state in bits 0-2, its
+// LRU rank in the next ceil(log2 ways) bits, and its key (the tag plus
+// one) above those — and a set's record is its ways' words, so an 8-way
+// L2 set is 32 B (two sets per 64-byte host line) and a direct-mapped L1
+// set is one 4-byte word. A lookup tests four keys per host vector instruction, and
+// a miss picks its victim — the first empty way, else the rank-0 way —
+// in one more pass over the words the lookup just pulled into the host's
+// L1. An empty way has key and state 0, so a never-touched set needs no
+// initialisation: the records live in an anonymous private mapping,
+// construction writes nothing, and only the pages holding sets the run
+// touches become resident (a Table I L2 spans 256 KiB of records; a
+// bench-scale run touches a few percent of its lines). A fill writes a
+// page before it reads it, so each page faults in once, writable. Ranks
+// order the ways by recency: a touch or fill moves its way to rank
+// associativity-1 and lowers every rank above the way's old one, so the
+// ways ever filled hold the top ranks in recency order and a full set's
+// rank-0 way is its LRU way. A direct-mapped cache (associativity == 1)
+// has no rank bits and skips the walk: the set index *is* the way and the
+// hit test is branch-free.
 #pragma once
 
 #include <cstddef>
@@ -67,7 +71,7 @@ class Cache {
   /// can chain state reads, LRU touches, and state writes without paying
   /// the associative search again.
   ///
-  /// The handle is the offset of a way's slot in the set records, not a
+  /// The handle is the index of a way's word in the set records, not a
   /// pointer, so its validity follows the *slot*:
   ///  * touch(), set_state(), state_of(), and downgrade() never move
   ///    lines between ways — a handle (to this or any other line) stays
@@ -89,7 +93,7 @@ class Cache {
     friend class Cache;
     static constexpr std::uint64_t kAbsent = ~std::uint64_t{0};
     explicit LineRef(std::uint64_t idx) : idx_(idx) {}
-    std::uint64_t idx_ = kAbsent;  ///< byte offset of the way's state
+    std::uint64_t idx_ = kAbsent;  ///< index of the way's word
   };
 
   /// Maps the set records; writes none of them (see the file comment).
@@ -110,7 +114,7 @@ class Cache {
   /// walk, the hit bookkeeping, and the directory probe overlap instead
   /// of serializing.
   void prefetch_set(Addr addr) const {
-    __builtin_prefetch(record(set_index(line_of(addr))));
+    __builtin_prefetch(words_.get() + base(set_index(line_of(addr))));
   }
 
   /// Combined lookup: ONE tag walk, no LRU movement, no hit/miss counting.
@@ -137,12 +141,15 @@ class Cache {
     LineRef ref;                 ///< truthy on hit
     std::uint64_t slot = 0;      ///< encoded like a LineRef (miss only)
     Addr victim_line = kNoLine;  ///< line fill would displace, kNoLine if none
+    std::uint32_t key = 0;         ///< the line's key bits, for fill_at
+    std::uint32_t victim_key = 0;  ///< the slot's key bits the walk saw
   };
 
-  /// Fused miss/refill walk: one visit to the set's record answers both
-  /// "is the line resident?" and, when it is not, "which way will the
-  /// fill take and what does it evict?". Victim policy: the first empty
-  /// way, else the least recently used one.
+  /// Fused miss/refill lookup: one visit to the set answers both "is the
+  /// line resident?" and, when it is not, "which way will the fill take
+  /// and what does it evict?" — a hit costs one pass over the set's
+  /// words, a miss one more. Victim policy: the first empty way, else the
+  /// least recently used one.
   FillCursor lookup_for_fill(Addr addr) const;
 
   /// Allocates `addr`'s line in state `s` at the way a lookup_for_fill()
@@ -154,7 +161,8 @@ class Cache {
 
   /// Present-line state via a handle (kInvalid for a falsy handle).
   LineState state_of(LineRef ref) const {
-    return ref ? state_at(ref.idx_) : LineState::kInvalid;
+    return ref ? static_cast<LineState>(words_.get()[ref.idx_] & kStateMask)
+               : LineState::kInvalid;
   }
 
   /// Marks a resident line most-recently-used and counts a hit — the
@@ -162,7 +170,7 @@ class Cache {
   void touch(LineRef ref) {
     DSM_ASSERT_MSG(ref, "touch of absent line");
     if (cfg_.associativity > 1)
-      promote(ref.idx_ >> stride_shift_, way_of(ref.idx_));
+      promote(ref.idx_, words_.get()[ref.idx_] & ~rank_mask_);
     ++hits_;
   }
 
@@ -187,9 +195,10 @@ class Cache {
 
   /// Allocates the line in state `s`, evicting the LRU way if the set is
   /// full. Returns the victim when one was displaced. The line must not
-  /// already be present, and its tag must fit a 32-bit key: the address
-  /// must lie below (2^32 - 1) x sets x line bytes, about 2^50 B for the
-  /// Table I L2. Either violation aborts.
+  /// already be present, and its tag must fit the key bits: the address
+  /// must lie below (2^(29 - ceil(log2 ways)) - 1) x sets x line bytes,
+  /// about 2^44 B for the Table I L2 and 2^43 B for its L1. Either
+  /// violation aborts.
   std::optional<Victim> fill(Addr addr, LineState s);
 
   /// Removes the line (remote invalidation / inclusion victim). Returns
@@ -224,74 +233,55 @@ class Cache {
  private:
   /// Smallest host page size (bytes) the record pages are tracked in.
   static constexpr std::uint64_t kPageBytes = 4096;
+  /// A way word's state bits; its rank bits follow, then its key bits.
+  static constexpr std::uint32_t kStateMask = 7;
+  static constexpr unsigned kRankShift = 3;
 
   /// Unmaps the set records.
   struct Unmap {
     std::size_t bytes = 0;
-    void operator()(std::byte* p) const;
+    void operator()(std::uint32_t* p) const;
   };
 
   std::uint64_t set_index(Addr line) const {
     return (line >> line_shift_) & (sets_ - 1);
   }
 
-  /// Key of `line` in its set: the tag plus one, so 0 marks an empty way.
-  /// Aborts when the tag does not fit 32 bits, which would alias.
+  /// Index of `set`'s first word. Sets of 2..4 ways span four words, so
+  /// a walk's 16-byte loads stay inside the set.
+  std::uint64_t base(std::uint64_t set) const { return set << stride_shift_; }
+
+  /// Key bits of `line`: the tag plus one (so 0 marks an empty way),
+  /// shifted above the rank bits. Aborts when the tag does not fit the
+  /// key bits, which would alias.
   std::uint32_t key_of(Addr line) const {
     const std::uint64_t tag = line >> tag_shift_;
-    DSM_ASSERT_MSG(tag < 0xffffffffull, "line beyond the cache's tag range");
-    return static_cast<std::uint32_t>(tag + 1);
+    DSM_ASSERT_MSG(tag < (key_mask_ >> key_shift_),
+                   "line beyond the cache's tag range");
+    return static_cast<std::uint32_t>(tag + 1) << key_shift_;
   }
 
-  /// Line address held under `key` in `set`.
+  /// Line address held under key bits `key` in `set`.
   Addr line_at(std::uint64_t set, std::uint32_t key) const {
-    return (static_cast<Addr>(key - 1) << tag_shift_) | (set << line_shift_);
+    return (static_cast<Addr>((key >> key_shift_) - 1) << tag_shift_) |
+           (set << line_shift_);
   }
 
-  // A set's record: keys (u32), then states (u8), then LRU ranks (u8,
-  // from an 8-byte boundary, padded to a multiple of 8). match()
-  // compares keys four at a time and masks off the lanes past the last
-  // way, whose loads stay inside the record; padding ranks stay 0, below
-  // every rank a promote() lowers.
-  std::byte* record(std::uint64_t set) const {
-    return sets_mem_.get() + (set << stride_shift_);
-  }
-  std::uint32_t* keys(std::uint64_t set) const {
-    return reinterpret_cast<std::uint32_t*>(record(set));
-  }
-  std::uint8_t* ranks(std::uint64_t set) const {
-    return reinterpret_cast<std::uint8_t*>(record(set) + ranks_at_);
-  }
-  LineState* states(std::uint64_t set) const {
-    return reinterpret_cast<LineState*>(record(set) + states_at_);
-  }
-
-  // A handle is the byte offset of its way's state, so a state read or
-  // write is one add; the set and way come back with a shift and a mask.
-  std::uint64_t handle(std::uint64_t set, unsigned way) const {
-    return (set << stride_shift_) + states_at_ + way;
-  }
-  LineState& state_at(std::uint64_t idx) const {
-    return *reinterpret_cast<LineState*>(sets_mem_.get() + idx);
-  }
-  unsigned way_of(std::uint64_t idx) const {
-    const std::uint64_t stride_mask = (std::uint64_t{1} << stride_shift_) - 1;
-    return static_cast<unsigned>(idx & stride_mask) - states_at_;
-  }
-
-  /// Bit w set when way w of `set` holds `key` (key 0: when it is empty).
+  /// Bit w set when way w of `set` holds key bits `key`. Not for a
+  /// direct-mapped cache, whose one way needs no walk.
   std::uint32_t match(std::uint64_t set, std::uint32_t key) const;
 
-  /// Handle of the way holding `key` in `set`, or LineRef::kAbsent.
-  std::uint64_t find(std::uint64_t set, std::uint32_t key) const;
-
-  /// The way a fill of `set` takes: the first empty one, else the LRU one.
+  /// The way a fill of `set` takes: the first empty one, else the LRU
+  /// (rank-0) one. Not for a direct-mapped cache either.
   unsigned victim_way(std::uint64_t set) const;
 
-  /// Moves `way` to the top rank, lowering every rank above its old one.
-  /// Callers skip it for a direct-mapped cache, whose one way has no
-  /// order to keep.
-  void promote(std::uint64_t set, unsigned way);
+  /// Word index of the way holding `key` in `set`, or LineRef::kAbsent.
+  std::uint64_t find(std::uint64_t set, std::uint32_t key) const;
+
+  /// Moves way `idx` to the top rank with key and state `bits`, lowering
+  /// every rank above its old one. Callers skip it for a direct-mapped
+  /// cache, whose one way has no order to keep.
+  void promote(std::uint64_t idx, std::uint32_t bits);
 
   /// Writes the host page holding `set`'s record unless a fill already
   /// has. Every fill calls it before reading the set: a read of a page
@@ -300,18 +290,19 @@ class Cache {
   /// another thread of this process.
   void write_page_first(std::uint64_t set) const;
 
-  /// Puts `key` in state `s` at `way`, returning the line it displaces.
-  std::optional<Victim> install(std::uint64_t set, unsigned way,
-                                std::uint32_t key, LineState s);
+  /// Puts the cursor's line in state `s` at its slot, returning the line
+  /// it displaces — the tail fill() and fill_at() share.
+  std::optional<Victim> install(const FillCursor& cur, LineState s);
 
   CacheConfig cfg_;
   std::uint64_t sets_;
   unsigned line_shift_;
   unsigned tag_shift_;     ///< line_shift_ + log2(sets_)
-  unsigned states_at_;     ///< byte offsets within a record
-  unsigned ranks_at_;
-  unsigned stride_shift_;  ///< log2 of the record stride
-  std::unique_ptr<std::byte, Unmap> sets_mem_;
+  unsigned stride_shift_;  ///< log2 of the words per set
+  unsigned key_shift_;     ///< kRankShift + the rank bits
+  std::uint32_t rank_mask_;
+  std::uint32_t key_mask_;
+  std::unique_ptr<std::uint32_t, Unmap> words_;
   mutable std::vector<std::uint64_t> written_pages_;  ///< one bit per page
   std::uint64_t resident_ = 0;
   std::uint64_t hits_ = 0;

@@ -222,14 +222,30 @@ TEST(MoesiFabricTest, EvictedOwnedLineLeavesItsSharersShared) {
   EXPECT_EQ(fabric.l2(1).state(a), LineState::kShared);
   // The writeback refreshed memory, so the survivor's entry is a plain
   // kShared with no owner, and the next reader is served by memory
-  // instead of being forwarded to the evicted owner. (check_invariants
-  // accepts a kOwned entry whose owner is gone, so this is checked here.)
+  // instead of being forwarded to the evicted owner.
   const DirEntry e = fabric.directory(2).peek(a);
   EXPECT_EQ(e.state, DirEntry::State::kShared);
   EXPECT_EQ(e.owner, kNoNode);
   EXPECT_EQ(e.sharers, std::uint64_t{1} << 1);
   EXPECT_EQ(fabric.access(3, a, false, 300).source, DataSource::kRemoteMem);
   fabric.check_invariants();
+}
+
+// A kOwned entry whose owner lost its O copy without the entry being
+// demoted: the sharer walk sees only node 1's S copy, so only the owner
+// check catches it.
+TEST(MoesiFabricDeathTest, OwnerWithoutItsLineFailsCheck) {
+  Rig r(4, Protocol::kMoesi);
+  const Addr a = homed_at(r, 2);
+  r.fabric.access(0, a, true, 0);
+  r.fabric.access(1, a, false, 100);  // 0: O, 1: S, dir kOwned
+  ASSERT_EQ(r.fabric.directory(2).peek(a).state, DirEntry::State::kOwned);
+  r.fabric.check_invariants();
+  r.fabric.l1(0).invalidate(a);
+  r.fabric.l2(0).invalidate(a);
+  r.fabric.directory(2).entry(a).remove_sharer(0);
+  EXPECT_DEATH(r.fabric.check_invariants(),
+               "registered owner does not hold its line");
 }
 
 // Randomized fuzz under small caches: constant evictions exercise the

@@ -7,7 +7,7 @@
 // invalidation counters, victim identity and state, per-line states,
 // resident-line sets) must stay identical throughout. The reference is
 // the old code verbatim (modulo test-local naming), so any divergence in
-// the set-record walk, the all-zero empty way, the LRU ranks, the
+// the way-word walk, the all-zero empty way, the LRU ranks, the
 // direct-mapped fast path, or the fused fill victim scan fails here with
 // the operation index.
 #include "memory/cache.hpp"
@@ -247,6 +247,12 @@ TEST(CacheSoaDiffTest, EightWayL2Geometry) {
   // L2 shape shrunk (8-way, 32 B lines): exercises the tag-lane walk and
   // the fused victim scan under constant eviction pressure.
   run_diff(geometry(64 * 1024, 8, 32), 500'000, 0xA3C59AC2ED1B54A3ull);
+}
+
+TEST(CacheSoaDiffTest, ThirtyTwoWayGeometry) {
+  // The widest set: a 5-bit rank field and eight four-word groups per
+  // walk and rank update.
+  run_diff(geometry(64 * 1024, 32, 32), 200'000, 0xD6E8FEB86659FD93ull);
 }
 
 TEST(CacheSoaDiffTest, OddAssociativityGeometry) {

@@ -18,6 +18,12 @@ CacheConfig small_cache(unsigned assoc) {
   return c;
 }
 
+long minor_faults() {
+  rusage u{};
+  getrusage(RUSAGE_SELF, &u);
+  return u.ru_minflt;
+}
+
 TEST(CacheTest, MissThenHit) {
   Cache c(small_cache(2));
   EXPECT_FALSE(c.access(0x100));
@@ -80,21 +86,36 @@ TEST(CacheTest, DowngradeOnlyWeakensExclusivity) {
   EXPECT_EQ(c.state(0x40), LineState::kShared);
 }
 
-// Construction maps the set records without writing them, so a Table I
-// L2 (512 KiB of records) costs no resident memory until a run touches
+// Construction maps the sets without writing them, so a Table I L2
+// (256 KiB of way words) costs no resident memory until a run touches
 // its sets.
 TEST(CacheTest, ConstructionTouchesNoSetMemory) {
   const CacheConfig l2 = default_config(1).l2;
-  const auto minor_faults = [] {
-    rusage u{};
-    getrusage(RUSAGE_SELF, &u);
-    return u.ru_minflt;
-  };
   const long before = minor_faults();
   const Cache c(l2);
   EXPECT_LT(minor_faults() - before, 8);
   EXPECT_TRUE(c.resident_lines().empty());
   EXPECT_EQ(c.resident_count(), 0u);
+}
+
+// A way is one 4-byte word, so an 8-way Table I L2 set is 32 B and its
+// 8,192 sets span 64 pages; a direct-mapped set is one word, so 65,536
+// sets of the L1's shape span 64 pages too. Filling one line per set
+// faults each page in once (the slack covers the sanitizer builds'
+// shadow pages).
+TEST(CacheTest, OneFillPerSetFaultsInEachSetPageOnce) {
+  CacheConfig dm = default_config(1).l1;
+  dm.size_bytes = 65536ull * dm.line_bytes;
+  for (const CacheConfig& cfg : {default_config(1).l2, dm}) {
+    Cache c(cfg);
+    const std::uint64_t sets =
+        cfg.size_bytes / (std::uint64_t{cfg.line_bytes} * cfg.associativity);
+    const long before = minor_faults();
+    for (std::uint64_t s = 0; s < sets; ++s)
+      c.fill(s * cfg.line_bytes, LineState::kShared);
+    EXPECT_LE(minor_faults() - before, 64 + 8) << cfg.associativity << "-way";
+    EXPECT_EQ(c.resident_count(), sets);
+  }
 }
 
 TEST(CacheTest, HitRate) {
@@ -117,15 +138,16 @@ TEST(CacheDeathTest, SetStateOnAbsentLineAborts) {
   EXPECT_DEATH(c.set_state(0x40, LineState::kShared), "absent");
 }
 
-// A set record keeps 32-bit keys (tag + 1), so the Table I L2 (8,192 sets
-// of 32 B lines: 2^18 B per tag) holds lines below 2^50 B. A line above
-// that aborts instead of aliasing a lower line's key.
+// An 8-way way word keeps 3 state bits, 3 rank bits and a 26-bit key
+// (tag + 1), so the Table I L2 (8,192 sets of 32 B lines: 2^18 B per tag)
+// holds lines below about 2^44 B. A line above that aborts instead of
+// aliasing a lower line's key.
 TEST(CacheDeathTest, LineBeyondTagRangeAborts) {
   Cache c(default_config(1).l2);
-  const Addr top = Addr{0xfffffffe} << 18;  // the highest tag with a key
+  const Addr top = ((Addr{1} << 26) - 2) << 18;  // the highest tag with a key
   c.fill(top, LineState::kShared);
   EXPECT_TRUE(c.probe(top));
-  EXPECT_DEATH(c.fill(Addr{1} << 50, LineState::kShared), "tag range");
+  EXPECT_DEATH(c.fill(Addr{1} << 44, LineState::kShared), "tag range");
 }
 
 // ---- property sweep over geometries ----
