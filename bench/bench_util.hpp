@@ -312,6 +312,11 @@ int sharded_sweep(
       throw std::runtime_error(driver::spec_label(pt) + ": " + e.what());
     }
   };
+  const auto record_of = [&](const driver::SpecPoint& pt, const R& r) {
+    return make_stream_record<R>(
+        pt, r, seed_of, metrics, obs_of ? obs_of(pt, r) : std::string(),
+        obs_intervals_of ? obs_intervals_of(pt, r) : std::string());
+  };
   if (!opt.pull_endpoint.empty()) {
     // Pull-worker mode: lease spec-index ranges from the coordinator and
     // stream each completed record back over the transport — the same
@@ -332,13 +337,8 @@ int sharded_sweep(
       runner.map_reduce<Raw, R>(
           slice, guarded, reduce,
           [&](const driver::SpecPoint& pt, R&& r) {
-            const std::string line = shard::format_record(
-                bench_name,
-                make_stream_record<R>(
-                    pt, r, seed_of, metrics,
-                    obs_of ? obs_of(pt, r) : std::string(),
-                    obs_intervals_of ? obs_intervals_of(pt, r)
-                                     : std::string()));
+            const std::string line =
+                shard::format_record(bench_name, record_of(pt, r));
             if (fault != shard::FaultKind::kNone && pt.index == fault_spec) {
               // The coordinator armed a deterministic fault on this very
               // spec index (chaos harness) — die the requested way.
@@ -368,10 +368,7 @@ int sharded_sweep(
                                       opt.shard.label(), local.size());
     runner.map_reduce<Raw, R>(
         local, guarded, reduce, [&](const driver::SpecPoint& pt, R&& r) {
-          sink.emit(make_stream_record<R>(
-              pt, r, seed_of, metrics,
-              obs_of ? obs_of(pt, r) : std::string(),
-              obs_intervals_of ? obs_intervals_of(pt, r) : std::string()));
+          sink.emit(record_of(pt, r));
           heartbeat.progress(static_cast<std::int64_t>(pt.index));
         });
     return 0;
@@ -385,12 +382,8 @@ int sharded_sweep(
   runner.map_reduce<Raw, R>(
       local, guarded, reduce, [&](const driver::SpecPoint& pt, R&& r) {
         if (live_observe) live_observe(pt, r);
-        const std::string line = shard::format_record(
-            bench_name,
-            make_stream_record<R>(
-                pt, r, seed_of, metrics,
-                obs_of ? obs_of(pt, r) : std::string(),
-                obs_intervals_of ? obs_intervals_of(pt, r) : std::string()));
+        const std::string line =
+            shard::format_record(bench_name, record_of(pt, r));
         report::RecordView view;
         std::string err;
         if (!report::read_record(line, &view, &err))
@@ -418,9 +411,7 @@ int machine_sweep(
         reduce,
     const std::function<std::uint64_t(const driver::SpecPoint&)>& seed_of,
     const std::function<std::string(const driver::SpecPoint&, const R&)>&
-        metrics,
-    const std::function<void(const driver::SpecPoint&, const R&)>&
-        live_observe = {}) {
+        metrics) {
   struct Wrapped {
     R r;
     std::string obs;
@@ -442,11 +433,7 @@ int machine_sweep(
       [&metrics](const driver::SpecPoint& pt, const Wrapped& w) {
         return metrics(pt, w.r);
       },
-      live_observe
-          ? std::function<void(const driver::SpecPoint&, const Wrapped&)>(
-                [&live_observe](const driver::SpecPoint& pt,
-                                const Wrapped& w) { live_observe(pt, w.r); })
-          : std::function<void(const driver::SpecPoint&, const Wrapped&)>(),
+      /*live_observe=*/{},
       [](const driver::SpecPoint&, const Wrapped& w) { return w.obs; },
       [](const driver::SpecPoint&, const Wrapped& w) {
         return w.obs_intervals;
@@ -465,9 +452,7 @@ int run_reduced_sweep(
     const std::function<R(const driver::SpecPoint&, sim::RunSummary&&)>&
         reduce,
     const std::function<std::string(const driver::SpecPoint&, const R&)>&
-        metrics,
-    const std::function<void(const driver::SpecPoint&, const R&)>&
-        live_observe = {}) {
+        metrics) {
   // An empty selection is an empty sweep (the pre-refactor loops printed
   // zero rows) — never a default "" spec point. A pull worker must still
   // tell its coordinator so, or the fleet would wait out a deadline.
@@ -488,7 +473,7 @@ int run_reduced_sweep(
       },
       reduce,
       [](const driver::SpecPoint& pt) { return driver::spec_seed(pt); },
-      metrics, live_observe);
+      metrics);
 }
 
 }  // namespace dsm::bench

@@ -15,9 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "common/config.hpp"
@@ -25,26 +22,7 @@
 #include "memory/home_map.hpp"
 #include "network/network.hpp"
 #include "obs/observability.hpp"
-
-// Global operator new/delete replacements that count allocations, so the
-// zero-allocation property is a regression-tested invariant, not a
-// code-review promise. (Same pattern as tests/network/network_test.cpp;
-// each gtest binary is its own process, so the replacements are local to
-// this suite.)
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t sz) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t sz) { return ::operator new(sz); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/counting_new.hpp"
 
 namespace dsm::coh {
 namespace {
