@@ -39,7 +39,9 @@ std::uint64_t interval_seed(const driver::SpecPoint& pt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto parsed = bench::parse_options(argc, argv);
+  auto parsed = bench::reject_axes(
+      bench::parse_options(argc, argv), {bench::Axis::kProtocol},
+      "ablation_intervals runs every interval length under MESI");
   if (!parsed.ok) return bench::usage_error(parsed);
   if (const auto rc = bench::maybe_orchestrate(argc, argv, parsed))
     return *rc;

@@ -52,7 +52,10 @@ struct TopologyRow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto parsed = bench::parse_options(argc, argv);
+  auto parsed = bench::reject_axes(
+      bench::parse_options(argc, argv),
+      {bench::Axis::kNodes, bench::Axis::kProtocol},
+      "ablation_topology runs each topology on 16 nodes under MESI");
   if (!parsed.ok) return bench::usage_error(parsed);
   if (const auto rc = bench::maybe_orchestrate(argc, argv, parsed))
     return *rc;

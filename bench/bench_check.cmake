@@ -1,19 +1,35 @@
 # bench_check.cmake — the run and compare steps of the bench ctest
-# scripts, included by report_pipeline.cmake and obs_equivalence.cmake.
+# scripts, included by every script under bench/.
 
-# dsm_run(OUT CMD...): run CMD with stdout to the file OUT ("" discards
-# it) and fail unless CMD exits 0.
-function(dsm_run out)
+# dsm_run_expect(RC OUT ERR CMD...): run CMD with stdout to the file OUT
+# ("" discards it) and stderr to the file ERR ("" leaves it on ctest's
+# log), and fail unless CMD exits RC. The failure message quotes ERR.
+function(dsm_run_expect want out err)
   if(out)
     set(to OUTPUT_FILE ${out})
   else()
     set(to OUTPUT_QUIET)
   endif()
-  execute_process(COMMAND ${ARGN} ${to} RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    list(JOIN ARGN " " cmd)
-    message(FATAL_ERROR "`${cmd}` exited with ${rc}")
+  if(err)
+    list(APPEND to ERROR_FILE ${err})
   endif()
+  execute_process(COMMAND ${ARGN} ${to} RESULT_VARIABLE rc)
+  if(NOT rc STREQUAL want)
+    list(JOIN ARGN " " cmd)
+    set(stderr_text "")
+    if(err)
+      file(READ ${err} stderr_text)
+      set(stderr_text "; stderr:\n${stderr_text}")
+    endif()
+    message(FATAL_ERROR "`${cmd}` exited with ${rc}, want ${want}"
+                        "${stderr_text}")
+  endif()
+endfunction()
+
+# dsm_run(OUT CMD...): run CMD with stdout to the file OUT ("" discards
+# it) and fail unless CMD exits 0.
+function(dsm_run out)
+  dsm_run_expect(0 "${out}" "" ${ARGN})
 endfunction()
 
 # dsm_expect_same(WHAT GOT WANT [HINT...]): fail unless the file GOT is

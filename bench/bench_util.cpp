@@ -83,10 +83,9 @@ const char* usage_text() {
       "                             metric snapshots (implies --obs-stats;\n"
       "                             the envelope's \"obs_intervals\" field;\n"
       "                             view with `dsm_report timeline`)\n"
-      "  --heartbeat=FILE           append worker progress heartbeats to\n"
-      "                             FILE (stream mode; with --shards=N each\n"
-      "                             worker i writes FILE.<i>; view with\n"
-      "                             `dsm_report progress`)\n"
+      "  --heartbeat=FILE           with --shards=N: tee each worker slot's\n"
+      "                             progress heartbeats to FILE.<slot>;\n"
+      "                             view with `dsm_report progress FILE.*`\n"
       "  --trace=FILE               dump the per-node binary event trace to\n"
       "                             FILE (multi-point sweeps: FILE.<index>);\n"
       "                             convert with `dsm_report trace`\n"
@@ -243,6 +242,7 @@ ParseResult parse_options(int argc, char** argv) {
   if (opt.shards == 0) {
     const char* stray = nullptr;
     if (opt.listen_port != 0) stray = "--listen";
+    else if (!opt.heartbeat_path.empty()) stray = "--heartbeat";
     else if (!opt.resume_store.empty()) stray = "--resume";
     else if (!opt.lease_log.empty()) stray = "--lease-log";
     else if (opt.fault != shard::FaultKind::kNone) stray = "--inject-fault";
@@ -261,6 +261,22 @@ ParseResult parse_options(int argc, char** argv) {
                 "--csv is not available in sharded runs: collect the NDJSON "
                 "stream and run `dsm_report render --csv=DIR` over it");
   return check_node_counts(std::move(res), Topology::kHypercube);
+}
+
+ParseResult reject_axes(ParseResult r, std::initializer_list<Axis> fixed,
+                        const char* what_runs) {
+  if (!r.ok) return r;
+  const BenchOptions& o = r.options;
+  for (const Axis axis : fixed) {
+    const char* flag = nullptr;
+    if (axis == Axis::kApps && !o.app_names.empty()) flag = "--apps";
+    if (axis == Axis::kNodes && !o.node_counts.empty()) flag = "--nodes";
+    if (axis == Axis::kProtocol && !o.protocols.empty()) flag = "--protocol";
+    if (flag != nullptr)
+      return fail(std::move(r),
+                  std::string(flag) + " would be ignored: " + what_runs);
+  }
+  return r;
 }
 
 ParseResult check_node_counts(ParseResult r, Topology topo) {
@@ -290,8 +306,8 @@ std::optional<int> maybe_orchestrate(int argc, char** argv,
   o.binary = shard::self_exe(argc > 0 ? argv[0] : nullptr);
   // Coordinator-only flags are consumed here, not forwarded: workers get
   // the sweep-shaping flags plus a `--pull=` endpoint the coordinator
-  // appends per spawn. (`--heartbeat` becomes per-worker socket
-  // heartbeats the coordinator tees into FILE.<i> itself.)
+  // appends per spawn. (Workers beat in-band; `--heartbeat` names the
+  // coordinator's tees.)
   static const char* kCoordinatorOnly[] = {
       "--shards=",         "--heartbeat=",      "--resume=",
       "--lease-log=",      "--inject-fault=",   "--lease-timeout-ms=",

@@ -20,10 +20,12 @@
 //   * --pull=fd:K|host:port — pull worker: leases spec-index ranges from
 //                          a fleet coordinator and streams the same
 //                          records back over that transport.
-//   * --shards=N         — coordinator: forks N workers of this binary
-//                          with --pull=fd:3, leases them spec-index
-//                          ranges, and merges their records in spec order
-//                          onto stdout. Merged output is byte-identical to
+//   * --shards=N         — coordinator, the one fleet launcher: forks N
+//                          workers of this binary with --pull=fd:3 (or,
+//                          with --listen=PORT, accepts N --pull=host:PORT
+//                          workers), leases them spec-index ranges, and
+//                          merges their records in spec order onto
+//                          stdout. Merged output is byte-identical to
 //                          `--shards=1` (and to an offline `dsm_report
 //                          merge` over --shard=i/N workers' collected
 //                          files): records carry only
@@ -38,6 +40,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -52,7 +55,6 @@
 #include "report/renderer.hpp"
 #include "shard/coordinator.hpp"
 #include "shard/fleet_msg.hpp"
-#include "shard/heartbeat.hpp"
 #include "shard/lease.hpp"
 #include "shard/orchestrator.hpp"
 #include "shard/pull_worker.hpp"
@@ -86,9 +88,9 @@ struct BenchOptions {
   /// each record as the envelope's "obs_intervals" field (`dsm_report
   /// timeline`). Off by default — records stay byte-identical to seeds.
   bool obs_intervals = false;
-  /// --heartbeat=FILE: append worker progress heartbeats here (stream
-  /// mode only; src/shard/heartbeat.hpp). The orchestrator sets this per
-  /// worker as FILE.<shard_index> when the flag is passed to --shards=N.
+  /// --heartbeat=FILE (with --shards=N): the coordinator tees each
+  /// worker slot's in-band progress heartbeats to FILE.<slot>
+  /// (src/shard/heartbeat.hpp; view with `dsm_report progress`).
   std::string heartbeat_path;
   bool verbose = false;
   shard::ShardPlan shard;              ///< --shard=i/N (worker mode)
@@ -144,6 +146,16 @@ struct ParseResult {
 /// comes back as ParseResult{ok=false, error}. Every --nodes entry must
 /// build a hypercube machine (check_node_counts).
 ParseResult parse_options(int argc, char** argv);
+
+/// Sweep axes a harness may hold fixed.
+enum class Axis { kApps, kNodes, kProtocol };
+
+/// Fails `r` when it sets one of the `fixed` axes: the harness would
+/// ignore that flag and write the stream it writes without it.
+/// `what_runs` ends the diagnostic with what the harness runs instead
+/// ("table2_applications runs all four apps on 8 nodes").
+ParseResult reject_axes(ParseResult r, std::initializer_list<Axis> fixed,
+                        const char* what_runs);
 
 /// Fails `r` when one of its --nodes entries cannot build a Table I
 /// machine on `topo` (MachineConfig::validate(): at most kMaxNodes, a
@@ -361,15 +373,9 @@ int sharded_sweep(
   }
   if (stream_mode(opt)) {
     shard::StreamSink sink(stdout, bench_name);
-    // Progress telemetry on its own channel (heartbeat.hpp): the result
-    // stream on stdout carries no trace of it, so merged output stays
-    // byte-identical with heartbeats on or off.
-    shard::HeartbeatEmitter heartbeat(opt.heartbeat_path, bench_name,
-                                      opt.shard.label(), local.size());
     runner.map_reduce<Raw, R>(
         local, guarded, reduce, [&](const driver::SpecPoint& pt, R&& r) {
           sink.emit(record_of(pt, r));
-          heartbeat.progress(static_cast<std::int64_t>(pt.index));
         });
     return 0;
   }

@@ -21,18 +21,14 @@
 # The deadline/backoff knobs are tuned small (2 s deadline, 100 ms beats)
 # so the worker-hang reap costs seconds, not the 30 s production default.
 
+include(${CMAKE_CURRENT_LIST_DIR}/bench_check.cmake)
+
 set(ref "${WORK_DIR}/${TAG}_ref.ndjson")
 set(knobs
   --lease-timeout-ms=2000 --hb-interval-ms=100 --backoff-ms=50)
 
 # 1. Undisturbed reference fleet.
-execute_process(
-  COMMAND ${HARNESS} ${HARNESS_ARGS} --shards=3
-  OUTPUT_FILE ${ref}
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "${HARNESS} --shards=3 exited with ${rc}")
-endif()
+dsm_run(${ref} ${HARNESS} ${HARNESS_ARGS} --shards=3)
 file(READ ${ref} ref_bytes)
 if(ref_bytes STREQUAL "")
   message(FATAL_ERROR "reference fleet stream ${ref} is empty")
@@ -48,25 +44,11 @@ foreach(kind worker-exit worker-hang truncated-record dropped-heartbeat)
   set(err "${WORK_DIR}/${TAG}_${kind}.stderr")
   set(hb "${WORK_DIR}/${TAG}_${kind}.hb")
   set(ledger "${WORK_DIR}/${TAG}_${kind}.lease.ndjson")
-  execute_process(
-    COMMAND ${HARNESS} ${HARNESS_ARGS} --shards=3 ${knobs}
-      --inject-fault=${kind}@${fault_spec}
-      --heartbeat=${hb} --lease-log=${ledger}
-    OUTPUT_FILE ${out}
-    ERROR_FILE ${err}
-    RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    file(READ ${err} err_bytes)
-    message(FATAL_ERROR
-      "fleet with --inject-fault=${kind}@${fault_spec} exited with ${rc} "
-      "(must recover and exit 0); stderr:\n${err_bytes}")
-  endif()
-  file(READ ${out} chaos_bytes)
-  if(NOT chaos_bytes STREQUAL ref_bytes)
-    message(FATAL_ERROR
-      "fleet recovered from ${kind} but the merged stream differs from "
-      "the undisturbed reference:\n  reference: ${ref}\n  chaos:     ${out}")
-  endif()
+  # The fleet must recover and exit 0.
+  dsm_run_expect(0 ${out} ${err} ${HARNESS} ${HARNESS_ARGS} --shards=3
+    ${knobs} --inject-fault=${kind}@${fault_spec}
+    --heartbeat=${hb} --lease-log=${ledger})
+  dsm_expect_same("the merged stream after ${kind}" ${out} ${ref})
   # The fault must be *visible* in the diagnostics — one that silently
   # never fired would pass the byte compare while testing nothing. The
   # three crash/wedge kinds also deterministically cost a worker death;
@@ -87,14 +69,7 @@ foreach(kind worker-exit worker-hang truncated-record dropped-heartbeat)
   endif()
   # 4. Side-channel artifacts: the lease ledger must parse back through
   # dsm_report, and at least one heartbeat tee file must exist.
-  execute_process(
-    COMMAND ${DSM_REPORT} progress --lease=${ledger}
-    OUTPUT_QUIET
-    RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-      "dsm_report progress --lease=${ledger} exited with ${rc}")
-  endif()
+  dsm_run("" ${DSM_REPORT} progress --lease=${ledger})
   file(GLOB hb_files "${hb}.*")
   if(NOT hb_files)
     message(FATAL_ERROR "${kind} run wrote no heartbeat tee files (${hb}.*)")
@@ -110,41 +85,17 @@ math(EXPR cut "${ref_size} - 40")
 file(READ ${ref} partial_bytes LIMIT ${cut})
 file(WRITE ${partial} "${partial_bytes}")
 
-execute_process(
-  COMMAND ${DSM_REPORT} resume --total=${total} ${partial}
-  OUTPUT_VARIABLE scan_out
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 1)
-  message(FATAL_ERROR
-    "dsm_report resume on a truncated store exited with ${rc} (want 1 = "
-    "gaps remain):\n${scan_out}")
-endif()
-if(NOT scan_out MATCHES "truncated final record")
-  message(FATAL_ERROR
-    "dsm_report resume did not flag the truncated tail:\n${scan_out}")
-endif()
+# Exit 1 = gaps remain.
+set(scan "${WORK_DIR}/${TAG}_partial.scan.txt")
+dsm_run_expect(1 ${scan} "" ${DSM_REPORT} resume --total=${total} ${partial})
+dsm_expect_contains(${scan} "truncated final record")
 
 set(resumed "${WORK_DIR}/${TAG}_resumed.ndjson")
-execute_process(
-  COMMAND ${HARNESS} ${HARNESS_ARGS} --shards=2 ${knobs} --resume=${partial}
-  OUTPUT_FILE ${resumed}
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--resume fleet exited with ${rc}")
-endif()
-file(READ ${resumed} resumed_bytes)
-if(NOT resumed_bytes STREQUAL ref_bytes)
-  message(FATAL_ERROR
-    "resumed fleet's completed store differs from the reference:\n"
-    "  reference: ${ref}\n  resumed:   ${resumed}")
-endif()
-execute_process(
-  COMMAND ${DSM_REPORT} resume --total=${total} ${resumed}
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR
-    "completed store still reports gaps (dsm_report resume -> ${rc})")
-endif()
+dsm_run(${resumed} ${HARNESS} ${HARNESS_ARGS} --shards=2 ${knobs}
+  --resume=${partial})
+dsm_expect_same("the resumed fleet's completed store" ${resumed} ${ref})
+# The completed store reports no gaps.
+dsm_run("" ${DSM_REPORT} resume --total=${total} ${resumed})
 
 message(STATUS "chaos fleet OK (${TAG}): ${total} specs; worker-exit, "
                "worker-hang, truncated-record, dropped-heartbeat all "

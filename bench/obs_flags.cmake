@@ -12,20 +12,16 @@
 #            POINTS (spec points the flags select), DSM_REPORT
 #            (dsm_report binary path), TAG (file-name tag), WORK_DIR.
 
+include(${CMAKE_CURRENT_LIST_DIR}/bench_check.cmake)
+
 set(stream "${WORK_DIR}/${TAG}.ndjson")
 set(trace "${WORK_DIR}/${TAG}.trace")
 file(GLOB stale "${trace}*")
 if(stale)
   file(REMOVE ${stale})
 endif()
-execute_process(
-  COMMAND ${HARNESS} ${HARNESS_ARGS} --obs-stats --obs-intervals
-          --trace=${trace} --shard=0/1
-  OUTPUT_FILE ${stream}
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "${HARNESS} with the observability flags exited ${rc}")
-endif()
+dsm_run(${stream} ${HARNESS} ${HARNESS_ARGS} --obs-stats --obs-intervals
+  --trace=${trace} --shard=0/1)
 
 # 1. Every record carries both envelope fields.
 file(READ ${stream} bytes)
@@ -42,13 +38,7 @@ if(NOT n_records EQUAL POINTS OR NOT n_snapshots EQUAL POINTS OR
     "\"obs_intervals\"; got ${n_records} records, ${n_snapshots} "
     "snapshots, ${n_timelines} timelines")
 endif()
-execute_process(
-  COMMAND ${DSM_REPORT} timeline ${stream}
-  OUTPUT_QUIET
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "dsm_report timeline rejected ${stream} (${rc})")
-endif()
+dsm_run("" ${DSM_REPORT} timeline ${stream})
 
 # 2. One valid trace dump per spec point.
 set(dumps "")
@@ -64,13 +54,7 @@ foreach(dump IN LISTS dumps)
   if(NOT EXISTS ${dump})
     message(FATAL_ERROR "--trace left no dump at ${dump}")
   endif()
-  execute_process(
-    COMMAND ${DSM_REPORT} trace --validate ${dump}
-    OUTPUT_QUIET
-    RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "dsm_report trace --validate rejected ${dump}")
-  endif()
+  dsm_run("" ${DSM_REPORT} trace --validate ${dump})
 endforeach()
 message(STATUS "${TAG}: ${POINTS} records with obs + obs_intervals, "
                "${POINTS} valid trace dumps")

@@ -49,23 +49,27 @@ struct DdvTraffic {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto parsed = bench::parse_options(argc, argv);
+  auto parsed = bench::reject_axes(
+      bench::parse_options(argc, argv),
+      {bench::Axis::kApps, bench::Axis::kNodes},
+      "overhead_bandwidth measures LU on the paper's 32 nodes");
   if (!parsed.ok) return bench::usage_error(parsed);
   if (const auto rc = bench::maybe_orchestrate(argc, argv, parsed))
     return *rc;
-  const auto& opt = parsed.options;
+  auto& opt = parsed.options;
+  // Test scale unless --scale says otherwise: the record carries the
+  // simulated interval, so the rescaling below holds at any scale.
+  if (!parsed.scale_set) opt.scale = apps::Scale::kTest;
 
   // Simulated: measure DDV bytes on a real run, rescale to the paper's
-  // "real-world" interval length. Fixed configuration (LU, 32 nodes,
-  // test scale) — a one-point sweep on the driver. The record carries
-  // the counters plus the claim verdict; the renderer prints both the
-  // analytic and the simulated derivation and returns the claim status
-  // (a shard worker that does not own the point exits 0; the owning
-  // worker's record carries the verdict through the merge to `render`).
-  bench::BenchOptions run_opt = opt;
-  run_opt.scale = apps::Scale::kTest;
+  // "real-world" interval length. Fixed configuration (LU, 32 nodes) —
+  // a one-point sweep on the driver. The record carries the counters
+  // plus the claim verdict; the renderer prints both the analytic and
+  // the simulated derivation and returns the claim status (a shard
+  // worker that does not own the point exits 0; the owning worker's
+  // record carries the verdict through the merge to `render`).
   return bench::run_reduced_sweep<DdvTraffic>(
-      {&apps::app_by_name("LU")}, {kNodes}, run_opt, "overhead_bandwidth",
+      {&apps::app_by_name("LU")}, {kNodes}, opt, "overhead_bandwidth",
       [](const driver::SpecPoint&, sim::RunSummary&& run) {
         DdvTraffic m;
         m.messages = run.net_messages[3];

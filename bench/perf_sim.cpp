@@ -124,7 +124,9 @@ int main(int argc, char** argv) {
       args.push_back(argv[i]);
     }
   }
-  auto res = bench::parse_options(static_cast<int>(args.size()), args.data());
+  auto res = bench::reject_axes(
+      bench::parse_options(static_cast<int>(args.size()), args.data()),
+      {bench::Axis::kProtocol}, "perf_sim times its machines under MESI");
   if (!res.ok) return bench::usage_error(res);
   if (json_path && (res.options.shard_set || res.options.shards > 0)) {
     std::fprintf(stderr, "error: --json is not available in sharded runs "

@@ -26,7 +26,10 @@ struct AppRow {
 
 int main(int argc, char** argv) {
   using namespace dsm;
-  auto parsed = bench::parse_options(argc, argv);
+  auto parsed = bench::reject_axes(
+      bench::parse_options(argc, argv),
+      {bench::Axis::kApps, bench::Axis::kNodes},
+      "table2_applications runs all four apps on 8 nodes");
   if (!parsed.ok) return bench::usage_error(parsed);
   if (const auto rc = bench::maybe_orchestrate(argc, argv, parsed))
     return *rc;

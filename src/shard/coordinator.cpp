@@ -21,19 +21,8 @@
 namespace dsm::shard {
 namespace {
 
-bool send_line_fd(int fd, const std::string& line) {
-  const std::string data = line + "\n";
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + off, data.size() - off,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
+bool is_heartbeat(const std::string& line) {
+  return line.rfind("{\"hb\":1,", 0) == 0;
 }
 
 struct Slot {
@@ -47,8 +36,8 @@ struct Slot {
   unsigned respawns = 0;
   std::uint64_t respawn_at_ms = 0;  ///< nonzero: respawn scheduled
   std::uint64_t spawned_ms = 0;     ///< for the pre-hello deadline
-  std::FILE* hb_file = nullptr;
-  std::uint64_t last_done = ~0ull;  ///< progress-display deduplication
+  std::FILE* hb_file = nullptr;     ///< FILE.<slot> heartbeat tee
+  std::uint64_t last_done = 0;      ///< progress-display deduplication
 };
 
 class Fleet {
@@ -172,6 +161,7 @@ class Fleet {
     s.fin_sent = false;
     s.respawn_at_ms = 0;
     s.spawned_ms = steady_ms();
+    s.last_done = 0;
     return true;
   }
 
@@ -315,7 +305,8 @@ class Fleet {
     }
     s.hello_seen = true;
     table_->heartbeat(i, now);
-    if (!send_line_fd(s.fd, format_welcome(i, opt_.tuning.heartbeat_interval_ms)))
+    if (!send_all(s.fd,
+                  format_welcome(i, opt_.tuning.heartbeat_interval_ms) + "\n"))
       disconnect(i, "closed during welcome");
   }
 
@@ -369,8 +360,8 @@ class Fleet {
                    fault_name(fault), opt_.fault_spec, i);
     }
     log_event(i, "leased", lease->lo, lease->hi);
-    if (!send_line_fd(s.fd, format_lease(lease->lo, lease->hi, fault,
-                                         fault_spec)))
+    if (!send_all(s.fd,
+                  format_lease(lease->lo, lease->hi, fault, fault_spec) + "\n"))
       disconnect(i, "closed during lease grant");
   }
 
@@ -403,12 +394,15 @@ class Fleet {
     }
   }
 
+  /// A worker's in-band beat: restarts its liveness clock, goes to its
+  /// FILE.<slot> tee, and shows on stderr when its count moved.
   void on_heartbeat(unsigned i, const std::string& line,
                     std::uint64_t now) {
     Heartbeat hb;
-    if (!parse_heartbeat(line, &hb)) return;  // telemetry is best-effort
     Slot& s = slots_[i];
-    if (s.hello_seen && table_) table_->heartbeat(i, now);
+    // Telemetry is best-effort; a beat before hello is no worker's.
+    if (!s.hello_seen || !table_ || !parse_heartbeat(line, &hb)) return;
+    table_->heartbeat(i, now);
     if (!opt_.heartbeat_path.empty()) {
       if (s.hb_file == nullptr) {
         const std::string path =
@@ -423,11 +417,13 @@ class Fleet {
     }
     if (hb.done != s.last_done) {
       s.last_done = hb.done;
+      // hb.total is the sweep size; the worker's share is unknown, so
+      // the fleet-wide count comes from the lease table.
       std::fprintf(stderr,
-                   "fleet: worker %u %llu/%llu done (last spec %lld, "
-                   "%llu ms, rss %llu KB)\n",
+                   "fleet: worker %u has done %llu (fleet %zu/%zu; last "
+                   "spec %lld, %llu ms, rss %llu KB)\n",
                    i, static_cast<unsigned long long>(hb.done),
-                   static_cast<unsigned long long>(hb.total),
+                   table_->done_count(), table_->total(),
                    static_cast<long long>(hb.last_spec),
                    static_cast<unsigned long long>(hb.wall_ms),
                    static_cast<unsigned long long>(hb.maxrss_kb));
@@ -453,7 +449,7 @@ class Fleet {
       }
       return;
     }
-    if (line.rfind("{\"hb\":1,", 0) == 0) {
+    if (is_heartbeat(line)) {
       on_heartbeat(i, line, now);
       return;
     }
@@ -573,10 +569,11 @@ class Fleet {
         Slot& s = slots_[i];
         if (s.fd < 0) continue;
         s.fin_sent = true;
-        send_line_fd(s.fd, format_fin());
+        send_all(s.fd, format_fin() + "\n");
       }
-      // Drain each socket to EOF, discarding stragglers (they can only
-      // be duplicates — every index is done). Workers are independent,
+      // Drain each socket to EOF. Beats still go to the tees, so each
+      // ends on its worker's final count; records can only be duplicates
+      // (every index is done) and are dropped. Workers are independent,
       // so a sequential blocking drain cannot deadlock.
       for (unsigned i = 0; i < slots_.size(); ++i) {
         Slot& s = slots_[i];
@@ -584,10 +581,12 @@ class Fleet {
           char buf[65536];
           const ssize_t n = ::recv(s.fd, buf, sizeof buf, 0);
           if (n < 0 && errno == EINTR) continue;
-          if (n <= 0) {
+          if (n > 0) s.frames.feed(buf, static_cast<std::size_t>(n));
+          while (const auto line = s.frames.next())
+            if (is_heartbeat(*line)) on_heartbeat(i, *line, steady_ms());
+          if (n <= 0 || s.frames.oversized()) {
             s.frames = FrameSplitter{};  // stragglers are not truncation
             disconnect(i, "drained");
-            break;
           }
         }
         log_event(i, "done", 0, 0);

@@ -46,9 +46,8 @@ struct FleetOptions {
                                   ///< coordinator-only ones)
   unsigned workers = 1;           ///< fleet size, in [1, kMaxShards]
   FleetTuning tuning;
-  /// Per-worker heartbeat files: PATH.<slot>, written by the coordinator
-  /// from the in-band beats (so `dsm_report progress` keeps working) —
-  /// empty disables.
+  /// The fleet's heartbeat tees: each slot's in-band beats, flushed per
+  /// line to PATH.<slot> for `dsm_report progress` — empty disables.
   std::string heartbeat_path;
   /// Lease-ledger NDJSON (format_lease_event) — empty disables.
   std::string lease_log;

@@ -74,37 +74,4 @@ bool parse_heartbeat(const std::string& line, Heartbeat* out) {
   return true;
 }
 
-HeartbeatEmitter::HeartbeatEmitter(const std::string& path, std::string bench,
-                                   std::string shard_label,
-                                   std::uint64_t total) {
-  if (path.empty()) return;
-  out_ = std::fopen(path.c_str(), "w");
-  if (out_ == nullptr) return;  // telemetry failure never kills a worker
-  hb_.bench = std::move(bench);
-  hb_.shard = std::move(shard_label);
-  hb_.total = total;
-  start_ms_ = steady_ms();
-  emit();  // done=0: "alive, not yet progressing" beats "no file"
-}
-
-HeartbeatEmitter::~HeartbeatEmitter() {
-  if (out_ != nullptr) std::fclose(out_);
-}
-
-void HeartbeatEmitter::progress(std::int64_t spec_index) {
-  if (out_ == nullptr) return;
-  ++hb_.done;
-  hb_.last_spec = spec_index;
-  emit();
-}
-
-void HeartbeatEmitter::emit() {
-  const std::string line = stamp_heartbeat(hb_, start_ms_);
-  std::fwrite(line.data(), 1, line.size(), out_);
-  std::fputc('\n', out_);
-  // Flush per record: `dsm_report progress` reads the file while the
-  // worker runs.
-  std::fflush(out_);
-}
-
 }  // namespace dsm::shard

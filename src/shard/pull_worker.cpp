@@ -42,6 +42,7 @@ PullWorker::PullWorker(const Endpoint& endpoint, std::string bench,
   worker_id_ = static_cast<unsigned>(msg->worker);
   if (msg->hb_ms > 0) hb_interval_ms_ = msg->hb_ms;
   ok_ = true;
+  beat();  // done=0: "alive, no progress yet" beats "no tee"
   beater_ = std::thread([this] {
     std::unique_lock<std::mutex> lock(stop_mu_);
     while (!stop_) {
@@ -67,17 +68,18 @@ void PullWorker::stop_beater() {
 
 void PullWorker::beat() {
   Heartbeat hb;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (muted_) return;
-    hb.done = done_;
-    hb.last_spec = last_spec_;
-  }
   hb.bench = bench_;
   // Built by append: GCC 12 flags `"w" + std::to_string(...)` with a
   // false -Wrestrict.
   hb.shard = std::string(1, 'w').append(std::to_string(worker_id_));
   hb.total = total_;
+  // Send under mu_: the periodic and per-record beats then leave in the
+  // order their counters were read, so the coordinator's tee ends on
+  // this worker's final count.
+  std::lock_guard<std::mutex> lock(mu_);
+  if (muted_) return;
+  hb.done = done_;
+  hb.last_spec = last_spec_;
   transport_->send_line(stamp_heartbeat(hb, start_ms_));
 }
 

@@ -10,12 +10,14 @@
 // verbatim bytes, so the coordinator's merged stdout stays byte-identical
 // to `--shards=1`.
 //
-// A background thread beats at the cadence the welcome message dictates,
-// so the coordinator can tell "slow config" from "dead worker" even while
-// a single configuration runs for minutes. The fault-injection hooks
-// (armed per-lease by the coordinator, deterministic by spec index) live
-// here too: they model the worker dying in specific ugly ways so tests
-// can prove the coordinator's recovery path.
+// The worker beats once on welcome (done=0), once per record, and from a
+// background thread at the cadence the welcome message dictates, so the
+// coordinator can tell "slow config" from "dead worker" even while a
+// single configuration runs for minutes (heartbeat.hpp). The
+// fault-injection hooks (armed per-lease by the coordinator,
+// deterministic by spec index) live here too: they model the worker
+// dying in specific ugly ways so tests can prove the coordinator's
+// recovery path.
 #pragma once
 
 #include <condition_variable>
@@ -101,7 +103,9 @@ class PullWorker {
   FaultKind fault_ = FaultKind::kNone;
   std::size_t fault_spec_ = 0;
 
-  std::mutex mu_;  // guards progress counters + muted_
+  // Guards the progress counters and muted_; beat() holds it while it
+  // sends.
+  std::mutex mu_;
   std::uint64_t done_ = 0;
   std::int64_t last_spec_ = -1;
   std::uint64_t start_ms_ = 0;

@@ -21,10 +21,6 @@ std::vector<driver::SpecPoint> ShardPlan::select(
   return out;
 }
 
-std::string ShardPlan::label() const {
-  return std::to_string(index) + "/" + std::to_string(count);
-}
-
 std::optional<ShardPlan> parse_shard(const std::string& text) {
   const auto slash = text.find('/');
   if (slash == std::string::npos) return std::nullopt;

@@ -39,9 +39,6 @@ struct ShardPlan {
   /// seeds, labels, and stream records are identical to an unsharded run.
   std::vector<driver::SpecPoint> select(
       const std::vector<driver::SpecPoint>& points) const;
-
-  /// "i/N" — the command-line spelling.
-  std::string label() const;
 };
 
 /// Parses "i/N" (0-based shard index, 1 <= N <= kMaxShards, i < N).

@@ -34,13 +34,12 @@ FdTransport::~FdTransport() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-bool FdTransport::send_raw(const std::string& bytes) {
-  std::lock_guard<std::mutex> lock(send_mu_);
+bool send_all(int fd, const std::string& bytes) {
   std::size_t off = 0;
   while (off < bytes.size()) {
-    // MSG_NOSIGNAL: a dead coordinator must surface as a return value,
-    // not a SIGPIPE that kills the worker before it can report.
-    const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
+    // MSG_NOSIGNAL: a dead peer must surface as a return value, not a
+    // SIGPIPE that kills the process before it can report.
+    const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
                              MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -49,6 +48,11 @@ bool FdTransport::send_raw(const std::string& bytes) {
     off += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+bool FdTransport::send_raw(const std::string& bytes) {
+  std::lock_guard<std::mutex> lock(send_mu_);
+  return send_all(fd_, bytes);
 }
 
 bool FdTransport::send_line(const std::string& line) {

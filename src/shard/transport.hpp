@@ -62,6 +62,12 @@ class FrameSplitter {
   std::size_t scanned_ = 0;  ///< leading bytes of buf_ known to hold no '\n'
 };
 
+/// Writes all of `bytes` to the connected stream fd `fd`, retrying short
+/// writes and EINTR. Returns false when the peer is gone (EPIPE/
+/// ECONNRESET — never raises SIGPIPE). The coordinator's sends and
+/// FdTransport's both go through here.
+bool send_all(int fd, const std::string& bytes);
+
 /// Blocking line transport over a connected stream fd. Worker-side: the
 /// sweep threads and the heartbeat thread both write, so sends are
 /// serialized by an internal mutex; receives are single-reader (the

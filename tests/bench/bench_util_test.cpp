@@ -7,6 +7,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dsm::bench {
@@ -209,7 +210,7 @@ TEST(ParseOptionsTest, FleetAndObsFlagsAcceptAndReject) {
        },
        {"--backoff-ms=", "--backoff-ms=0", "--backoff-ms=3600001",
         "--backoff-ms=1e3"}},
-      {"--heartbeat=hb.ndjson", false,
+      {"--heartbeat=hb.ndjson", true,
        [](const BenchOptions& o) { return o.heartbeat_path == "hb.ndjson"; },
        {"--heartbeat="}},
       {"--trace=events.bin", false,
@@ -236,6 +237,47 @@ TEST(ParseOptionsTest, FleetAndObsFlagsAcceptAndReject) {
                 std::string::npos);
     }
   }
+}
+
+// Workers beat in-band over their coordinator connection, so only the
+// coordinator writes heartbeat files: anywhere else --heartbeat is a
+// usage error (exit 2), not a flag that quietly writes nothing.
+TEST(ParseOptionsTest, HeartbeatWithoutShardsExitsWithUsage) {
+  for (const char* mode : {"--shard=0/2", "--pull=fd:3", "--threads=2"}) {
+    const auto r = parse({mode, "--heartbeat=hb"});
+    EXPECT_FALSE(r.ok) << mode;
+    EXPECT_NE(r.error.find("--heartbeat only makes sense on the coordinator"),
+              std::string::npos)
+        << r.error;
+    EXPECT_EQ(usage_error(r), 2);
+  }
+  EXPECT_TRUE(parse({"--shards=2", "--heartbeat=hb"}).ok);
+}
+
+// A harness that holds an axis fixed refuses its flag with a diagnostic
+// instead of writing the stream it writes without it.
+TEST(ParseOptionsTest, FixedAxesAreRefusedNotIgnored) {
+  const char* why = "the harness runs LU on 32 nodes under MESI";
+  const auto all = {Axis::kApps, Axis::kNodes, Axis::kProtocol};
+  EXPECT_TRUE(reject_axes(parse({"--threads=2"}), all, why).ok);
+  const std::vector<std::pair<const char*, std::string>> cases = {
+      {"--apps=FMM", "--apps"},
+      {"--nodes=4", "--nodes"},
+      {"--protocol=moesi", "--protocol"}};
+  for (const auto& [arg, flag] : cases) {
+    const auto r = reject_axes(parse({arg}), all, why);
+    EXPECT_FALSE(r.ok) << arg;
+    EXPECT_EQ(r.error, flag + " would be ignored: " + why);
+  }
+  // An axis the harness sweeps passes, and so does --protocol=mesi: it
+  // names the machine default that a MESI-only harness runs anyway.
+  EXPECT_TRUE(reject_axes(parse({"--nodes=4"}), {Axis::kProtocol}, why).ok);
+  EXPECT_TRUE(
+      reject_axes(parse({"--protocol=mesi"}), {Axis::kProtocol}, why).ok);
+  // A parse error comes through unchanged.
+  const auto bad = reject_axes(parse({"--frobnicate"}), all, why);
+  EXPECT_FALSE(bad.ok);
+  EXPECT_NE(bad.error.find("--frobnicate"), std::string::npos);
 }
 
 TEST(ParseOptionsTest, PullIsExclusiveWithShardFlags) {

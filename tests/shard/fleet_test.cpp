@@ -3,15 +3,18 @@
 // socketpairs: happy-path merge, worker death mid-sweep (byte-identical
 // recovery — the acceptance bar), duplicate-record discard, truncated
 // and oversized frames, resume-from-store leasing only the gaps, the
-// lease ledger, the empty sweep, and a hello that arrives after the sweep
-// is done. No forks, no sleeps: deaths are socket closes, orderings are
-// latches, and the default 30 s heartbeat deadline never fires in a
-// sub-second test.
+// lease ledger, the heartbeat tees, the empty sweep, and a hello that
+// arrives after the sweep is done — and once over TCP, through the
+// `--listen` accept path. No forks: deaths are socket closes, orderings
+// are latches, and the default 30 s heartbeat deadline never fires in a
+// sub-second test. The only sleep is a TCP worker's retry while the
+// coordinator starts listening.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <latch>
@@ -23,6 +26,7 @@
 
 #include "shard/coordinator.hpp"
 #include "shard/fleet_msg.hpp"
+#include "shard/heartbeat.hpp"
 #include "shard/pull_worker.hpp"
 #include "shard/resume.hpp"
 #include "shard/stream_sink.hpp"
@@ -63,6 +67,9 @@ struct WorkerScript {
   std::latch* hello_gate = nullptr;
   /// Count this latch down once fin arrives.
   std::latch* fin_seen = nullptr;
+  /// After fin, send one heartbeat counting the records sent, as a real
+  /// worker's last beat can arrive once the coordinator is tearing down.
+  bool beat_after_fin = false;
 };
 
 bool is_fin(const std::string& line) {
@@ -108,6 +115,32 @@ void run_worker(int fd, std::size_t total, const WorkerScript& script,
   }
   if (script.fin_seen != nullptr && is_fin(line))
     script.fin_seen->count_down();
+  if (script.beat_after_fin && is_fin(line)) {
+    Heartbeat hb;
+    hb.bench = kBench;
+    hb.shard = "w0";
+    hb.done = emitted;
+    hb.total = total;
+    t.send_line(format_heartbeat(hb));
+  }
+}
+
+/// Every line of the heartbeat tee at `path`, parsed; removes the file.
+std::vector<Heartbeat> read_tee(const std::string& path) {
+  std::vector<Heartbeat> beats;
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  if (f == nullptr) return beats;
+  char line[512];
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    std::string text(line);
+    if (!text.empty() && text.back() == '\n') text.pop_back();
+    Heartbeat hb;
+    EXPECT_TRUE(parse_heartbeat(text, &hb)) << text;
+    beats.push_back(hb);
+  }
+  std::fclose(f);
+  std::remove(path.c_str());
+  return beats;
 }
 
 /// What a fleet run returned: {exit code, merged stdout bytes}.
@@ -116,15 +149,34 @@ struct FleetRun {
   std::string output;
 };
 
-/// The worker end of one socketpair, run on its own thread.
+/// The worker end of one connection, run on its own thread.
 using WorkerFn = std::function<void(int fd)>;
 
-/// Runs the fleet against one thread per entry of `workers`.
+/// Connects to the coordinator listening on `port`, retrying while it
+/// has not started to listen yet; -1 after about 5 s.
+int connect_when_listening(unsigned port) {
+  for (int attempt = 0; attempt < 5000; ++attempt) {
+    const int fd = tcp_connect("127.0.0.1", port);
+    if (fd >= 0) return fd;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return -1;
+}
+
+/// Runs the fleet against one thread per entry of `workers`, each handed
+/// its end of a socketpair — or, when opt.listen_port is set, its TCP
+/// connection to the listening coordinator.
 FleetRun run_fleet_with(const std::vector<WorkerFn>& workers,
                         FleetOptions opt = {}) {
   std::vector<std::thread> threads;
   opt.workers = static_cast<unsigned>(workers.size());
   for (const auto& worker : workers) {
+    if (opt.listen_port != 0) {
+      threads.emplace_back([port = opt.listen_port, worker] {
+        worker(connect_when_listening(port));
+      });
+      continue;
+    }
     int sv[2];
     EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
     opt.preconnected_fds.push_back(sv[0]);
@@ -159,6 +211,24 @@ TEST(FleetTest, MergesSpecOrderedOutputFromConcurrentWorkers) {
   const auto run = run_scripted_fleet(12, {{}, {}, {}});
   EXPECT_EQ(run.rc, 0);
   EXPECT_EQ(run.output, expected_output(12));
+}
+
+// The multi-host path: the coordinator accepts its workers over TCP
+// (`--listen=PORT`) instead of being handed socketpairs, and merges the
+// same bytes. A port the kernel just handed out for port 0 is free.
+TEST(FleetTest, ListenAcceptsTcpWorkersAndMergesTheSameBytes) {
+  constexpr std::size_t kTotal = 12;
+  const auto pair_run = run_scripted_fleet(kTotal, {{}, {}});
+  const int probe = tcp_listen(0);
+  ASSERT_GE(probe, 0);
+  FleetOptions opt;
+  opt.listen_port = tcp_local_port(probe);
+  ::close(probe);
+  ASSERT_NE(opt.listen_port, 0u);
+  const auto tcp_run = run_scripted_fleet(kTotal, {{}, {}}, opt);
+  EXPECT_EQ(tcp_run.rc, 0);
+  EXPECT_EQ(tcp_run.output, pair_run.output);
+  EXPECT_EQ(tcp_run.output, expected_output(kTotal));
 }
 
 TEST(FleetTest, SingleWorkerFleetMatches) {
@@ -310,6 +380,75 @@ TEST(FleetTest, LeaseLogRecordsLeasedAndDoneEvents) {
   EXPECT_GT(leased, 0u);
   EXPECT_EQ(done, 2u);  // one per worker at teardown
   std::remove(log_path.c_str());
+}
+
+// Real pull workers under --heartbeat: each slot's tee opens with the
+// welcome beat (done=0), never counts backwards, carries the sweep size
+// as its total, and ends on exactly the records its worker sent. At the
+// default 1 s cadence the welcome beat is the only done=0 beat; at 1 ms
+// the periodic beats interleave with the per-record ones.
+TEST(FleetTest, HeartbeatTeesEndOnEachWorkersFinalCount) {
+  constexpr std::size_t kTotal = 24;
+  constexpr unsigned kWorkers = 2;
+  const std::string tee = ::testing::TempDir() + "fleet_test_hb";
+  for (const unsigned hb_ms : {1000u, 1u}) {
+    SCOPED_TRACE(hb_ms);
+    FleetOptions opt;
+    opt.heartbeat_path = tee;
+    opt.tuning.heartbeat_interval_ms = hb_ms;
+    std::latch welcomed(kWorkers);
+    std::vector<std::size_t> sent(kWorkers, 0);
+    std::vector<WorkerFn> workers;
+    for (unsigned k = 0; k < kWorkers; ++k)
+      workers.push_back([&, k](int fd) {
+        PullWorker worker(Endpoint{true, fd, {}, 0}, kBench, kTotal);
+        // Both slots are welcomed before either pulls, so both tee.
+        welcomed.arrive_and_wait();
+        while (const auto lease = worker.next_lease())
+          for (std::size_t idx = lease->lo; idx < lease->hi; ++idx) {
+            ASSERT_TRUE(worker.emit_record(record_line(idx), idx));
+            ++sent[k];
+          }
+      });
+    const auto run = run_fleet_with(workers, opt);
+    EXPECT_EQ(run.rc, 0);
+    EXPECT_EQ(run.output, expected_output(kTotal));
+    std::size_t summed = 0;
+    for (unsigned k = 0; k < kWorkers; ++k) {
+      SCOPED_TRACE(k);
+      const std::string slot = std::to_string(k);
+      const auto beats = read_tee(tee + "." + slot);
+      ASSERT_FALSE(beats.empty());
+      EXPECT_EQ(beats.front().done, 0u);
+      EXPECT_EQ(beats.front().last_spec, -1);
+      for (std::size_t b = 0; b < beats.size(); ++b) {
+        EXPECT_EQ(beats[b].total, kTotal);
+        EXPECT_EQ(beats[b].shard, 'w' + slot);
+        if (b > 0) {
+          EXPECT_GE(beats[b].done, beats[b - 1].done);
+        }
+      }
+      EXPECT_EQ(beats.back().done, sent[k]);
+      summed += beats.back().done;
+    }
+    EXPECT_EQ(summed, kTotal);
+  }
+}
+
+// The sweep is done when the last record arrives, so that worker's last
+// beat can reach the coordinator after fin. The teardown drain still
+// tees it: the tee ends on the worker's final count.
+TEST(FleetTest, BeatAfterFinStillReachesTheTee) {
+  const std::string tee = ::testing::TempDir() + "fleet_test_late_hb";
+  FleetOptions opt;
+  opt.heartbeat_path = tee;
+  WorkerScript late;
+  late.beat_after_fin = true;
+  const auto run = run_scripted_fleet(5, {late}, opt);
+  EXPECT_EQ(run.rc, 0);
+  const auto beats = read_tee(tee + ".0");
+  ASSERT_EQ(beats.size(), 1u);
+  EXPECT_EQ(beats[0].done, 5u);
 }
 
 TEST(FleetTest, ResumeLeasesOnlyTheGapsAndCompletesTheStore) {

@@ -22,7 +22,6 @@ TEST(ParseShardTest, AcceptsWellFormedPlans) {
   ASSERT_TRUE(q.has_value());
   EXPECT_EQ(q->index, 3u);
   EXPECT_EQ(q->count, 8u);
-  EXPECT_EQ(q->label(), "3/8");
 }
 
 TEST(ParseShardTest, RejectsMalformedPlans) {

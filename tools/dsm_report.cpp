@@ -1,7 +1,7 @@
 // dsm_report.cpp — offline consumer for the NDJSON result store: merge
-// per-shard files collected from a fleet, rebuild the human tables from
-// merged records, validate record files, and plan per-host shard command
-// lines.
+// per-shard files collected from `--shard=i/N` workers, rebuild the human
+// tables from merged records, validate record files, and read a fleet's
+// heartbeat tees, lease ledger and resume store.
 //
 //   dsm_report merge s0.ndjson s1.ndjson ... > merged.ndjson
 //       K-way merge of per-shard record files in spec order
@@ -21,11 +21,6 @@
 //       files must be strictly increasing in spec index, merged files
 //       contiguous from 0 (--merged).
 //
-//   dsm_report plan --bin=PATH --shards=N [--out=DIR] [--sbatch] [-- f...]
-//       Prints the per-host worker command lines (or an sbatch job-array
-//       script) for a fleet run: launch, collect the files, merge,
-//       render.
-//
 //   dsm_report stats [--diff B.ndjson] file.ndjson
 //       Renders the deterministic observability snapshots (the optional
 //       `obs` envelope field records gain under --obs-stats) as per-record
@@ -43,12 +38,13 @@
 //       both fields are present. --chrome additionally emits Chrome
 //       counter ("C") events that overlay `dsm_report trace` output.
 //
-//   dsm_report progress [--lease=FILE] hb.ndjson ...
-//       Renders a fleet status table from collected worker heartbeat
-//       files (bench --heartbeat=FILE / launch_shards.sh): per worker
-//       done/total, last spec index, wall time, peak RSS, and the age of
-//       the file's last write — a worker whose heartbeat file stopped
-//       aging out is wedged. With --lease=FILE (the coordinator's
+//   dsm_report progress [--lease=FILE] FILE.0 FILE.1 ...
+//       Renders a fleet status table from the coordinator's heartbeat
+//       tees (`--shards=N --heartbeat=FILE` writes FILE.<slot>): per
+//       worker the records it completed, the sweep size, last spec
+//       index, wall time, peak RSS, and the age of the tee's last write
+//       — a running worker whose tee stopped aging is wedged — plus the
+//       fleet's summed count. With --lease=FILE (the coordinator's
 //       --lease-log ledger) also prints each worker's lease state
 //       (leased/retrying/dead/done), current range, and respawn count.
 //
@@ -75,6 +71,7 @@
 #include <cstring>
 #include <ctime>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,7 +84,6 @@
 #include "shard/heartbeat.hpp"
 #include "shard/orchestrator.hpp"
 #include "shard/resume.hpp"
-#include "shard/shard_plan.hpp"
 
 namespace {
 
@@ -102,8 +98,6 @@ int usage(const char* argv0) {
       "  render [--csv=DIR] FILE    rebuild the harness's human tables from\n"
       "                             a merged record file ('-' = stdin)\n"
       "  validate [--merged] FILE...  strict-check record files\n"
-      "  plan --bin=PATH --shards=N [--out=DIR] [--sbatch] [-- FLAGS...]\n"
-      "                             print per-host shard command lines\n"
       "  stats [--diff B] FILE      print the observability snapshots\n"
       "                             (--obs-stats records' 'obs' field);\n"
       "                             --diff compares two record files with\n"
@@ -113,10 +107,10 @@ int usage(const char* argv0) {
       "                             timelines (--obs-intervals records);\n"
       "                             --chrome also emits counter events\n"
       "  progress [--lease=FILE] FILE...\n"
-      "                             fleet status table from worker\n"
-      "                             heartbeat files (bench --heartbeat),\n"
-      "                             with last-write age; --lease adds the\n"
-      "                             coordinator's lease-ledger state\n"
+      "                             fleet status table from the heartbeat\n"
+      "                             tees of a --shards=N --heartbeat=F run\n"
+      "                             (F.<slot>), with last-write age; --lease\n"
+      "                             adds the coordinator's lease ledger\n"
       "  resume --total=N FILE      dry-run the fleet's --resume scan:\n"
       "                             complete records, duplicates, a\n"
       "                             truncated tail, and the gap indices a\n"
@@ -524,47 +518,49 @@ int cmd_progress(const std::vector<std::string>& args) {
   }
 
   std::size_t alive = 0;
-  std::uint64_t fleet_done = 0, fleet_total = 0;
   if (!files.empty()) {
-    std::printf("%-28s %-20s %8s %6s %8s %9s %9s %5s %s\n", "file", "bench",
-                "shard", "done", "total", "wall_ms", "rss_kb", "age",
-                "state");
-    for (const auto& path : files) {
+    // Each tee's last parsable line is its worker's final state. Every
+    // beat's total is the sweep size, so the fleet is done when the
+    // workers' counts sum to it — a worker's own share is unknown.
+    std::vector<std::optional<shard::Heartbeat>> last(files.size());
+    std::vector<const char*> status(files.size(), "unparsable");
+    std::uint64_t fleet_done = 0, sweep = 0;
+    for (std::size_t k = 0; k < files.size(); ++k) {
       OpenFile in;
-      if (!open_input(path, &in)) {
-        std::printf("%-28s %-20s %8s %6s %8s %9s %9s %5s %s\n", path.c_str(),
-                    "-", "-", "-", "-", "-", "-", "-", "missing");
+      if (!open_input(files[k], &in)) {
+        status[k] = "missing";
         continue;
       }
-      // Last parsable line = the worker's current state.
-      shard::Heartbeat hb;
-      bool have = false;
-      {
-        shard::FileLineSource source(in.f);
-        shard::Heartbeat parsed;
-        for (std::string line; source.next(line);)
-          if (shard::parse_heartbeat(line, &parsed)) {
-            hb = parsed;
-            have = true;
-          }
-      }
-      if (!have) {
-        std::printf("%-28s %-20s %8s %6s %8s %9s %9s %5s %s\n", path.c_str(),
-                    "-", "-", "-", "-", "-", "-", "-", "unparsable");
-        continue;
-      }
+      shard::FileLineSource source(in.f);
+      shard::Heartbeat parsed;
+      for (std::string line; source.next(line);)
+        if (shard::parse_heartbeat(line, &parsed)) last[k] = parsed;
+      if (!last[k]) continue;
       ++alive;
-      fleet_done += hb.done;
-      fleet_total += hb.total;
+      fleet_done += last[k]->done;
+      sweep = std::max(sweep, last[k]->total);
+    }
+    const char* state = fleet_done >= sweep ? "done" : "running";
+    std::printf("%-28s %-20s %8s %6s %8s %9s %9s %5s %s\n", "file", "bench",
+                "shard", "done", "sweep", "wall_ms", "rss_kb", "age",
+                "state");
+    for (std::size_t k = 0; k < files.size(); ++k) {
+      const char* path = files[k].c_str();
+      if (!last[k]) {
+        std::printf("%-28s %-20s %8s %6s %8s %9s %9s %5s %s\n", path, "-",
+                    "-", "-", "-", "-", "-", "-", status[k]);
+        continue;
+      }
+      const shard::Heartbeat& hb = *last[k];
       std::printf("%-28s %-20s %8s %6" PRIu64 " %8" PRIu64 " %9" PRIu64
                   " %9" PRIu64 " %5s %s\n",
-                  path.c_str(), hb.bench.c_str(), hb.shard.c_str(), hb.done,
-                  hb.total, hb.wall_ms, hb.maxrss_kb, file_age(path).c_str(),
-                  hb.done >= hb.total ? "done" : "running");
+                  path, hb.bench.c_str(), hb.shard.c_str(), hb.done,
+                  hb.total, hb.wall_ms, hb.maxrss_kb,
+                  file_age(files[k]).c_str(), state);
     }
     std::printf("fleet: %zu/%zu workers reporting, %" PRIu64 "/%" PRIu64
                 " specs done\n",
-                alive, files.size(), fleet_done, fleet_total);
+                alive, files.size(), fleet_done, sweep);
   }
 
   if (!lease_path.empty()) {
@@ -841,59 +837,6 @@ int cmd_trace(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_plan(const std::vector<std::string>& args) {
-  std::string bin, out_dir = ".";
-  unsigned long shards = 0;
-  bool sbatch = false;
-  std::vector<std::string> flags;
-  bool passthrough = false;
-  for (const auto& a : args) {
-    if (passthrough) {
-      flags.push_back(a);
-    } else if (a == "--") {
-      passthrough = true;
-    } else if (a.rfind("--bin=", 0) == 0) {
-      bin = a.substr(6);
-    } else if (a.rfind("--out=", 0) == 0) {
-      out_dir = a.substr(6);
-    } else if (a.rfind("--shards=", 0) == 0) {
-      shards = std::strtoul(a.c_str() + 9, nullptr, 10);
-    } else if (a == "--sbatch") {
-      sbatch = true;
-    } else {
-      std::fprintf(stderr, "dsm_report plan: unknown option %s\n", a.c_str());
-      return 2;
-    }
-  }
-  if (bin.empty() || shards < 1 || shards > shard::kMaxShards) {
-    std::fprintf(stderr,
-                 "dsm_report plan: need --bin=PATH and --shards=N "
-                 "(1 <= N <= %u)\n",
-                 shard::kMaxShards);
-    return 2;
-  }
-  std::string flag_str;
-  for (const auto& f : flags) flag_str += " " + f;
-
-  if (sbatch) {
-    // A job-array script: one array task per shard, each writing its own
-    // file. Collect the files and `dsm_report merge` them afterwards.
-    std::printf("#!/bin/sh\n");
-    std::printf("#SBATCH --array=0-%lu\n", shards - 1);
-    std::printf("#SBATCH --output=%s/shard_%%a.log\n", out_dir.c_str());
-    std::printf("exec %s%s --shard=${SLURM_ARRAY_TASK_ID}/%lu > "
-                "%s/shard_${SLURM_ARRAY_TASK_ID}.of%lu.ndjson\n",
-                bin.c_str(), flag_str.c_str(), shards, out_dir.c_str(),
-                shards);
-    return 0;
-  }
-  for (unsigned long i = 0; i < shards; ++i)
-    std::printf("%s%s --shard=%lu/%lu > %s/shard_%lu.of%lu.ndjson\n",
-                bin.c_str(), flag_str.c_str(), i, shards, out_dir.c_str(),
-                i, shards);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -903,7 +846,6 @@ int main(int argc, char** argv) {
   if (cmd == "merge") return cmd_merge(args);
   if (cmd == "render") return cmd_render(args);
   if (cmd == "validate") return cmd_validate(args);
-  if (cmd == "plan") return cmd_plan(args);
   if (cmd == "stats") return cmd_stats(args);
   if (cmd == "timeline") return cmd_timeline(args);
   if (cmd == "progress") return cmd_progress(args);
