@@ -64,3 +64,19 @@ function(dsm_expect_contains path text)
     message(FATAL_ERROR "${path} does not contain ${text}")
   endif()
 endfunction()
+
+# dsm_expect_fleet_done(PROGRESS N TEES...): read a finished fleet's
+# heartbeat tees back with `dsm_report progress` (its table goes to the
+# file PROGRESS) and fail unless every tee parses, they sum to N/N specs
+# done, and no row reads running. Needs DSM_REPORT.
+function(dsm_expect_fleet_done progress n)
+  dsm_run(${progress} ${DSM_REPORT} progress ${ARGN})
+  list(LENGTH ARGN n_tees)
+  dsm_expect_contains(${progress}
+    "fleet: ${n_tees}/${n_tees} workers reporting, ${n}/${n} specs done")
+  file(READ ${progress} table)
+  if(table MATCHES " running\n")
+    message(FATAL_ERROR "${progress}: a worker of the finished fleet reads "
+                        "running:\n${table}")
+  endif()
+endfunction()

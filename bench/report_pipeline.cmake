@@ -51,18 +51,10 @@ dsm_run("" ${DSM_REPORT} validate --merged ${merged_ref})
 dsm_expect_golden(${merged_ref} ${CMAKE_CURRENT_LIST_DIR}/expected/${TAG}.ndjson)
 
 file(GLOB tees "${fleet}/hb.*")
-dsm_run(${progress} ${DSM_REPORT} progress ${tees})
 file(READ ${merged_ref} bytes)
 string(REGEX MATCHALL "\n" lines "${bytes}")
 list(LENGTH lines n)
-list(LENGTH tees n_tees)
-dsm_expect_contains(${progress}
-  "fleet: ${n_tees}/${n_tees} workers reporting, ${n}/${n} specs done")
-file(READ ${progress} table)
-if(table MATCHES " running\n")
-  message(FATAL_ERROR "${progress}: a worker of the finished fleet reads "
-                      "running:\n${table}")
-endif()
+dsm_expect_fleet_done(${progress} ${n} ${tees})
 
 # 3. Live human output vs offline render of the merged records, plus
 # (CSV) the live --csv exports vs render --csv, file for file.

@@ -2,7 +2,7 @@
 """A/B of two checkouts on one perfbench workload (perfbench/README.md rule).
 
     scripts/bench_ab.py BASE_CHECKOUT NEW_CHECKOUT --workload W \\
-        [--pairs 10] [--seconds 50]
+        [--pairs 10] [--seconds 50] [--record=BENCH_trajectory.json]
 
 Runs `python3 perfbench/run.py --trace 0` in each checkout, pair after pair:
 pair i uses seed i + 1 on both sides (so the first pair, seed 1, also checks
@@ -20,10 +20,18 @@ for neither) and a verdict:
   within bound  otherwise
 Exits 1 if any run fails or reports "correct": false, else 3 if any
 metric's verdict is regression, else 0, so an A/B can gate on it.
+
+--record=FILE appends the A/B as one section to FILE's "sections" list
+(the repo's perf trajectory is BENCH_trajectory.json): the new and base
+checkouts' commits ("commit", "parent"; "-dirty" marks uncommitted
+changes), the host, the workload, pairs and seconds, and per metric both
+sides' q1/median/q3, the pairs won and the verdict. A run that fails
+records nothing.
 """
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -40,6 +48,48 @@ def run(checkout, workload, seed, seconds):
     if proc.returncode != 0 or not lines:
         return None
     return json.loads(lines[-1])
+
+
+def describe(checkout):
+    """The checkout's commit, "-dirty" when its tracked files differ."""
+    proc = subprocess.run(["git", "describe", "--always", "--dirty",
+                           "--abbrev=7", "--exclude=*"], cwd=checkout,
+                          text=True, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL)
+    return proc.stdout.strip() or "unknown"
+
+
+def host():
+    """The measuring host, in bench_util's host_context_json() shape."""
+    info = {"cpu": platform.processor() or "unknown",
+            "cores": os.cpu_count() or 0, "governor": "unknown"}
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    info["cpu"] = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    try:
+        with open("/sys/devices/system/cpu/cpu0/cpufreq/"
+                  "scaling_governor") as f:
+            info["governor"] = f.read().strip()
+    except OSError:
+        pass
+    return info
+
+
+def record(path, section):
+    """Appends `section` to the trajectory file at `path`."""
+    doc = {"sections": []}
+    if os.path.exists(path):
+        with open(path) as f:
+            doc = json.load(f)
+    doc["sections"].append(section)
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
 
 
 def quartiles(xs):
@@ -68,6 +118,8 @@ def main():
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=50)
+    ap.add_argument("--record", metavar="FILE",
+                    help="append this A/B as a section of FILE")
     args = ap.parse_args()
     with open(os.path.join(args.base, "BENCHMARK.json")) as f:
         metrics = json.load(f)["end_to_end"]
@@ -96,6 +148,7 @@ def main():
     print(f"{'metric':<14}{'base q1/med/q3':>28}{'new q1/med/q3':>28}"
           f"{'wins':>7}  verdict")
     regressed = False
+    recorded = {}
     for m in metrics:
         name = m["name"]
         base = [r[name]["value"] for r in results["base"]]
@@ -108,6 +161,16 @@ def main():
         regressed = regressed or v == "regression"
         print(f"{name:<14}{fmt(base):>28}{fmt(new):>28}"
               f"{wins:>4}/{len(base):<2}  {v}")
+        side = lambda xs: dict(zip(("q1", "median", "q3"), quartiles(xs)))
+        recorded[name] = {"unit": m["unit"], "better": m["better"],
+                          "base": side(base), "new": side(new),
+                          "wins": wins, "verdict": v}
+    if args.record:
+        record(args.record, {
+            "commit": describe(args.new), "parent": describe(args.base),
+            "host": host(), "workload": args.workload,
+            "pairs": args.pairs, "seconds": args.seconds,
+            "metrics": recorded})
     if regressed:
         sys.exit(3)
 

@@ -14,9 +14,7 @@
 #   scripts/profile_hotpath.sh [--build=DIR] [--out=FILE] [-- extra args]
 #
 # Defaults: --build=build-pg, --out=profile_hotpath.txt. Extra args after
-# `--` go to perf_hotpath (e.g. `-- --topology=Hypercube`). The harness's
-# JSON trajectory is redirected into the -pg tree so the repo's committed
-# BENCH_hotpath.json is never clobbered by an instrumented (slower) run.
+# `--` go to perf_hotpath (e.g. `-- --topology=Hypercube`).
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -51,8 +49,7 @@ cd "$build"  # gmon.out lands in the cwd
 i=1
 while [ "$i" -le 3 ]; do
   echo "profile run $i/3..." >&2
-  "$bin" --scale=bench --threads=1 --json="$build/hotpath_pg.json" \
-    ${1+"$@"} >/dev/null
+  "$bin" --scale=bench --threads=1 ${1+"$@"} >/dev/null
   mv gmon.out "gmon.$i.out"
   i=$((i + 1))
 done

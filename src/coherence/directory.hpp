@@ -75,8 +75,8 @@ class Directory {
 
   /// Hints the host to pull `line_addr`'s first probe slot (key and entry
   /// lanes) into its caches. Pure latency hint — no simulated effect; the
-  /// fabric issues it at the top of access() so a later entry()/erase()
-  /// for the line finds its slot already in flight.
+  /// fabric issues it once an access has missed its L2, so the entry()/
+  /// erase() the directory request makes finds the slot in flight.
   void prefetch(Addr line_addr) const {
     const std::size_t i = slot_of(line_addr);
     __builtin_prefetch(&keys_[i]);

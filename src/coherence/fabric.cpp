@@ -46,6 +46,12 @@ CoherenceFabric::CoherenceFabric(const MachineConfig& cfg,
       home_map_(&home_map) {
   DSM_ASSERT_MSG(cfg.num_nodes <= kMaxNodes,
                  "full-map directory uses a 64-bit sharer bitset");
+  for (unsigned st = 1; st < mem::kNumLineStates; ++st) {
+    const auto s = static_cast<LineState>(st);
+    l1_hit_states_[0] |= 1u << st;
+    if (store_permitted(*pol_, s) && pol_->store_hit[st] == s)
+      l1_hit_states_[1] |= 1u << st;
+  }
   nodes_.reserve(cfg.num_nodes);
   for (NodeId n = 0; n < cfg.num_nodes; ++n) nodes_.emplace_back(cfg, n);
   if (obs != nullptr) {
@@ -91,39 +97,28 @@ const NodeCoherenceStats& CoherenceFabric::stats(NodeId n) const {
   return nodes_.at(n).stats;
 }
 
-AccessOutcome CoherenceFabric::access(NodeId node, Addr addr, bool is_write,
-                                      Cycle now) {
-  DSM_ASSERT(node < nodes_.size());
+AccessOutcome CoherenceFabric::access_miss(NodeId node, Addr line,
+                                           bool is_write, Cycle now,
+                                           mem::Cache::LineRef w1,
+                                           LineState s1) {
   Node& me = nodes_[node];
-  const Addr line = me.l2.line_of(addr);
-
-  // Overlap the host-memory misses this access is about to take: the L2
-  // set record and the home directory's probe slot are independent lines,
-  // so putting them in flight now turns the walk below from a chain of
-  // serialized misses into parallel ones. Hints only — no simulated
-  // state or timing changes.
-  me.l2.prefetch_set(line);
   AccessOutcome out;
   out.write = is_write;
   out.home = home_map_->home_of(line, node);
-  nodes_[out.home].dir.prefetch(line);
   if (is_write) ++me.stats.stores; else ++me.stats.loads;
 
-  // ---- L1: one tag walk, reused below ----
-  const mem::Cache::LineRef w1 = me.l1.lookup(line);
-  const LineState s1 = me.l1.state_of(w1);
+  // ---- L1: access()'s tag walk, reused below ----
   if (s1 != LineState::kInvalid) {
-    if (!is_write || store_permitted(*pol_, s1)) {
+    if (store_permitted(*pol_, s1)) {
+      // Silent store-hit upgrade (E->M under MESI/MOESI), mirrored in
+      // the (inclusive) L2. A load, or a store that changes no state,
+      // hit inline in access().
       me.l1.touch(w1);
       const LineState next = pol_->store_hit[static_cast<unsigned>(s1)];
-      if (is_write && next != s1) {
-        // Silent store-hit upgrade (E->M under MESI/MOESI), mirrored in
-        // the (inclusive) L2.
-        me.l1.set_state(w1, next);
-        const mem::Cache::LineRef w2 = me.l2.lookup(line);
-        DSM_ASSERT(w2);
-        me.l2.set_state(w2, next);
-      }
+      me.l1.set_state(w1, next);
+      const mem::Cache::LineRef w2 = me.l2.lookup(line);
+      DSM_ASSERT(w2);
+      me.l2.set_state(w2, next);
       ++me.stats.l1_hits;
       out.l1_hit = true;
       out.latency = cfg_.l1.latency_cycles;
@@ -160,12 +155,16 @@ AccessOutcome CoherenceFabric::access(NodeId node, Addr addr, bool is_write,
     out.source = DataSource::kL2;
     return out;
   }
+  // The request goes to the home directory: put the line's probe slot in
+  // flight while the network walk below runs. Issued only here, past the
+  // L2 lookup, so no hit pays for it. A hint only.
+  nodes_[out.home].dir.prefetch(line);
   if (l2_has_data) {
     me.l2.touch(w2);  // S-upgrade: data present, touch LRU
   } else if (c2.victim_line != mem::Cache::FillCursor::kNoLine) {
-    // True miss: the fill below will displace the predicted victim, whose
-    // home-directory slot the up-front prefetch did not cover. Warm it
-    // now, while the directory round-trip below hides the host latency.
+    // True miss: the fill below will displace the predicted victim. Warm
+    // its home-directory slot too, while the directory round-trip below
+    // hides the host latency.
     const NodeId vh = home_map_->peek_home(c2.victim_line);
     if (vh != kNoNode) nodes_[vh].dir.prefetch(c2.victim_line);
   }

@@ -20,6 +20,7 @@
 
 #include "coherence/directory.hpp"
 #include "coherence/policy.hpp"
+#include "common/assert.hpp"
 #include "common/config.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -79,8 +80,31 @@ class CoherenceFabric {
                   mem::HomeMap& home_map, obs::Observability* obs = nullptr);
 
   /// Performs one committed load (is_write=false) or store (is_write=true)
-  /// by `node` at local time `now`.
-  AccessOutcome access(NodeId node, Addr addr, bool is_write, Cycle now);
+  /// by `node` at local time `now`. An L1 hit that changes no state — a
+  /// load, or a store to a line the policy lets it write as is — resolves
+  /// here, inline; every other case goes to access_miss().
+  AccessOutcome access(NodeId node, Addr addr, bool is_write, Cycle now) {
+    DSM_ASSERT(node < nodes_.size());
+    Node& me = nodes_[node];
+    const Addr line = me.l2.line_of(addr);
+    // A miss walks the L2 set next: put its record in flight now. A hint
+    // only, with no simulated effect.
+    me.l2.prefetch_set(line);
+    const mem::Cache::LineRef w1 = me.l1.lookup(line);
+    const mem::LineState s1 = me.l1.state_of(w1);
+    if (((l1_hit_states_[is_write] >> static_cast<unsigned>(s1)) & 1) == 0)
+      return access_miss(node, line, is_write, now, w1, s1);
+    if (is_write) ++me.stats.stores; else ++me.stats.loads;
+    me.l1.touch(w1);
+    ++me.stats.l1_hits;
+    AccessOutcome out;
+    out.latency = cfg_.l1.latency_cycles;
+    out.source = DataSource::kL1;
+    out.home = home_map_->home_of(line, node);
+    out.l1_hit = true;
+    out.write = is_write;
+    return out;
+  }
 
   mem::Cache& l1(NodeId n);
   mem::Cache& l2(NodeId n);
@@ -129,6 +153,12 @@ class CoherenceFabric {
     AccessOutcome& out;
     Cycle at() const { return now + lat; }
   };
+
+  /// access() for everything but a state-preserving L1 hit: a store hit
+  /// that upgrades silently (E->M), an L1 miss or a store to a read-only
+  /// L1 copy. `w1`/`s1` are access()'s L1 lookup of `line`.
+  AccessOutcome access_miss(NodeId node, Addr line, bool is_write, Cycle now,
+                            mem::Cache::LineRef w1, mem::LineState s1);
 
   /// Serves a miss/upgrade at the directory, then installs the line in the
   /// requestor's L2 and L1; returns added latency. `l1_ref`/`l2_cursor`
@@ -186,6 +216,10 @@ class CoherenceFabric {
   /// Protocol tables, selected once in the constructor — the only
   /// protocol dispatch the fabric ever performs.
   const CohPolicy* pol_;
+  /// L1 states access() resolves inline, one bit per LineState, indexed
+  /// by is_write: a load hits any valid state, a store only a writable
+  /// one its store_hit entry leaves unchanged.
+  std::uint8_t l1_hit_states_[2] = {};
   net::Network& network_;
   mem::HomeMap* home_map_;
   ObsHooks obs_;

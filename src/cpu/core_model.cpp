@@ -30,8 +30,7 @@ Cycle CoreModel::branch_cycles(Addr pc, bool taken) {
   return correct ? 0 : core_.mispredict_penalty;
 }
 
-Cycle CoreModel::exposed_memory_stall(Cycle latency, Cycle l1_latency) const {
-  if (latency <= l1_latency) return latency;
+Cycle CoreModel::overlapped_stall(Cycle latency, Cycle l1_latency) const {
   const double beyond =
       static_cast<double>(latency - l1_latency) * (1.0 - core_.mlp_overlap);
   return l1_latency + static_cast<Cycle>(std::llround(beyond));

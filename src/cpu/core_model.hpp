@@ -33,9 +33,12 @@ class CoreModel {
   Cycle branch_cycles(Addr pc, bool taken);
 
   /// Exposed stall for a memory access whose full latency is `latency`:
-  /// hits at L1 speed pass through; longer latencies are shortened by the
-  /// MLP overlap factor.
-  Cycle exposed_memory_stall(Cycle latency, Cycle l1_latency) const;
+  /// hits at L1 speed pass through (inline); longer latencies are
+  /// shortened by the MLP overlap factor.
+  Cycle exposed_memory_stall(Cycle latency, Cycle l1_latency) const {
+    return latency <= l1_latency ? latency
+                                 : overlapped_stall(latency, l1_latency);
+  }
 
   const GsharePredictor& predictor() const { return predictor_; }
   std::uint64_t branches() const { return predictor_.predictions(); }
@@ -43,6 +46,9 @@ class CoreModel {
   void reset();
 
  private:
+  /// exposed_memory_stall() beyond the L1 latency.
+  Cycle overlapped_stall(Cycle latency, Cycle l1_latency) const;
+
   CoreConfig core_;
   GsharePredictor predictor_;
   double residue_ = 0.0;  ///< sub-cycle carry for compute_cycles

@@ -109,19 +109,6 @@ unsigned Cache::victim_way(std::uint64_t set) const {
   return static_cast<unsigned>(std::countr_zero(e != 0 ? e : any(lru) & ways));
 }
 
-std::uint64_t Cache::find(std::uint64_t set, std::uint32_t key) const {
-  if (cfg_.associativity == 1) {
-    // Direct-mapped: the set IS the way. Branch-free hit test — a miss
-    // ORs the index with all-ones, which is exactly LineRef::kAbsent.
-    const auto hit =
-        static_cast<std::uint64_t>((words_.get()[set] & key_mask_) == key);
-    return set | (hit - 1);
-  }
-  const std::uint32_t m = match(set, key);
-  return m == 0 ? LineRef::kAbsent
-                : base(set) + static_cast<unsigned>(std::countr_zero(m));
-}
-
 void Cache::promote(std::uint64_t idx, std::uint32_t bits) {
   const std::uint64_t stride_mask = (std::uint64_t{1} << stride_shift_) - 1;
   std::uint32_t* const w = words_.get() + (idx & ~stride_mask);

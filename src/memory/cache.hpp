@@ -27,6 +27,7 @@
 // hit test is branch-free.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -110,9 +111,8 @@ class Cache {
 
   /// Hints the host to pull `addr`'s set record into its caches. Pure
   /// latency hint — no simulated effect. The fabric issues this for the
-  /// L2 set at the top of access() so the (host-)DRAM misses of the tag
-  /// walk, the hit bookkeeping, and the directory probe overlap instead
-  /// of serializing.
+  /// L2 set before its L1 lookup, so an L1 miss's tag walk finds the
+  /// record already in flight.
   void prefetch_set(Addr addr) const {
     __builtin_prefetch(words_.get() + base(set_index(line_of(addr))));
   }
@@ -276,7 +276,19 @@ class Cache {
   unsigned victim_way(std::uint64_t set) const;
 
   /// Word index of the way holding `key` in `set`, or LineRef::kAbsent.
-  std::uint64_t find(std::uint64_t set, std::uint32_t key) const;
+  /// Inline, so an L1 hit resolves without a call.
+  std::uint64_t find(std::uint64_t set, std::uint32_t key) const {
+    if (cfg_.associativity == 1) {
+      // Direct-mapped: the set IS the way. Branch-free hit test — a miss
+      // ORs the index with all-ones, which is exactly LineRef::kAbsent.
+      const auto hit =
+          static_cast<std::uint64_t>((words_.get()[set] & key_mask_) == key);
+      return set | (hit - 1);
+    }
+    const std::uint32_t m = match(set, key);
+    return m == 0 ? LineRef::kAbsent
+                  : base(set) + static_cast<unsigned>(std::countr_zero(m));
+  }
 
   /// Moves way `idx` to the top rank with key and state `bits`, lowering
   /// every rank above its old one. Callers skip it for a direct-mapped

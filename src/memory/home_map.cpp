@@ -29,9 +29,7 @@ NodeId HomeMap::policy_home(std::uint64_t page) const {
   return kNoNode;
 }
 
-NodeId HomeMap::home_of(Addr addr, NodeId accessor) {
-  const std::uint64_t page = page_of(addr);
-  if (const NodeId bound = bound_home(page); bound != kNoNode) return bound;
+NodeId HomeMap::home_of_unbound(std::uint64_t page, NodeId accessor) {
   const NodeId policy_node = policy_home(page);
   if (policy_node != kNoNode) return policy_node;
   // First touch: bind now.

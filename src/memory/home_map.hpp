@@ -27,8 +27,16 @@ class HomeMap {
   Placement policy() const { return policy_; }
 
   /// Home of the page containing `addr`, assigning it per policy on first
-  /// use. `accessor` resolves first-touch; other policies ignore it.
-  NodeId home_of(Addr addr, NodeId accessor);
+  /// use. `accessor` resolves first-touch; other policies ignore it. A
+  /// bound page and the round-robin policy resolve inline; the rest go
+  /// to home_of_unbound().
+  NodeId home_of(Addr addr, NodeId accessor) {
+    const std::uint64_t page = page_of(addr);
+    if (const NodeId bound = bound_home(page); bound != kNoNode) return bound;
+    if (policy_ == Placement::kRoundRobin)
+      return static_cast<NodeId>(page % nodes_);
+    return home_of_unbound(page, accessor);
+  }
 
   /// Home if already determined (explicit or policy-computable without an
   /// accessor); kNoNode for an untouched first-touch page.
@@ -49,6 +57,8 @@ class HomeMap {
     return page_shift_ >= 0 ? addr >> page_shift_ : addr / page_bytes_;
   }
   NodeId policy_home(std::uint64_t page) const;
+  /// home_of() for an unbound page under a policy other than round-robin.
+  NodeId home_of_unbound(std::uint64_t page, NodeId accessor);
   /// Explicit or first-touch home of `page`; kNoNode when unbound.
   NodeId bound_home(std::uint64_t page) const {
     return page < bound_.size() ? bound_[page] : kNoNode;

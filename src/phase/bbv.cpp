@@ -62,19 +62,10 @@ std::uint64_t manhattan_capped(std::span<const std::uint32_t> a,
 }
 
 BbvAccumulator::BbvAccumulator(unsigned entries, std::uint32_t norm)
-    : raw_(entries, 0), norm_(norm) {
+    : raw_(entries, 0), mask_(is_pow2(entries) ? entries - 1 : kNoMask),
+      norm_(norm) {
   DSM_ASSERT(entries > 0);
   DSM_ASSERT(norm > 0);
-}
-
-unsigned BbvAccumulator::index_of(Addr branch_addr) const {
-  return static_cast<unsigned>(fnv1a64(branch_addr) % raw_.size());
-}
-
-void BbvAccumulator::record_branch(Addr branch_addr,
-                                   InstrCount instrs_since_last_branch) {
-  raw_[index_of(branch_addr)] += instrs_since_last_branch;
-  total_ += instrs_since_last_branch;
 }
 
 BbvVector BbvAccumulator::snapshot() const {

@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "common/bitops.hpp"
 #include "common/types.hpp"
 
 namespace dsm::phase {
@@ -40,7 +41,18 @@ class BbvAccumulator {
   /// Commits a branch at address `branch_addr` that retired with
   /// `instrs_since_last_branch` instructions since the previous branch
   /// (including itself): accumulator[hash(addr)] += count.
-  void record_branch(Addr branch_addr, InstrCount instrs_since_last_branch);
+  void record_branch(Addr branch_addr, InstrCount instrs_since_last_branch) {
+    record_hashed(fnv1a64(branch_addr), instrs_since_last_branch);
+  }
+
+  /// record_branch() for a caller that already holds the address's hash,
+  /// `pc_hash` == fnv1a64(branch_addr): the simulated core computes it
+  /// where the block id is a compile-time constant.
+  void record_hashed(std::uint64_t pc_hash,
+                     InstrCount instrs_since_last_branch) {
+    raw_[slot_of(pc_hash)] += instrs_since_last_branch;
+    total_ += instrs_since_last_branch;
+  }
 
   /// Normalized snapshot of the accumulator (does not reset).
   BbvVector snapshot() const;
@@ -54,10 +66,21 @@ class BbvAccumulator {
 
   /// The accumulator's hash: FNV-1a of the branch address folded into the
   /// table size (a power of two is not required).
-  unsigned index_of(Addr branch_addr) const;
+  unsigned index_of(Addr branch_addr) const {
+    return slot_of(fnv1a64(branch_addr));
+  }
 
  private:
+  /// `pc_hash` folded into the table: a mask when the entry count is a
+  /// power of two, else the remainder (the same slot either way).
+  unsigned slot_of(std::uint64_t pc_hash) const {
+    return static_cast<unsigned>(mask_ != kNoMask ? pc_hash & mask_
+                                                  : pc_hash % raw_.size());
+  }
+
+  static constexpr std::uint64_t kNoMask = ~std::uint64_t{0};
   std::vector<std::uint64_t> raw_;
+  std::uint64_t mask_;  ///< entries - 1 for a power of two, else kNoMask
   std::uint64_t total_ = 0;
   std::uint32_t norm_;
 };

@@ -37,7 +37,9 @@ struct Slot {
   std::uint64_t respawn_at_ms = 0;  ///< nonzero: respawn scheduled
   std::uint64_t spawned_ms = 0;     ///< for the pre-hello deadline
   std::FILE* hb_file = nullptr;     ///< FILE.<slot> heartbeat tee
-  std::uint64_t last_done = 0;      ///< progress-display deduplication
+  Heartbeat last_beat;              ///< the last beat teed, parsed
+  std::uint64_t merged = 0;         ///< records merged from this slot
+  std::int64_t last_merged = -1;    ///< spec index of the last of them
 };
 
 class Fleet {
@@ -161,7 +163,7 @@ class Fleet {
     s.fin_sent = false;
     s.respawn_at_ms = 0;
     s.spawned_ms = steady_ms();
-    s.last_done = 0;
+    s.last_beat.done = 0;  // the replacement counts from 0
     return true;
   }
 
@@ -380,6 +382,9 @@ class Fleet {
       ++duplicates_;  // first-complete-wins: a re-leased index came twice
       return;
     }
+    ++slots_[i].merged;
+    slots_[i].last_merged =
+        static_cast<std::int64_t>(parsed->record.spec_index);
     ready_.emplace(parsed->record.spec_index, line);
     drain_ready();
   }
@@ -403,20 +408,10 @@ class Fleet {
     // Telemetry is best-effort; a beat before hello is no worker's.
     if (!s.hello_seen || !table_ || !parse_heartbeat(line, &hb)) return;
     table_->heartbeat(i, now);
-    if (!opt_.heartbeat_path.empty()) {
-      if (s.hb_file == nullptr) {
-        const std::string path =
-            opt_.heartbeat_path + "." + std::to_string(i);
-        s.hb_file = std::fopen(path.c_str(), "w");
-      }
-      if (s.hb_file != nullptr) {
-        std::fwrite(line.data(), 1, line.size(), s.hb_file);
-        std::fputc('\n', s.hb_file);
-        std::fflush(s.hb_file);
-      }
-    }
-    if (hb.done != s.last_done) {
-      s.last_done = hb.done;
+    const bool moved = hb.done != s.last_beat.done;
+    s.last_beat = hb;
+    tee(i, line);
+    if (moved) {
       // hb.total is the sweep size; the worker's share is unknown, so
       // the fleet-wide count comes from the lease table.
       std::fprintf(stderr,
@@ -428,6 +423,35 @@ class Fleet {
                    static_cast<unsigned long long>(hb.wall_ms),
                    static_cast<unsigned long long>(hb.maxrss_kb));
     }
+  }
+
+  /// Appends `line` to slot i's FILE.<slot> tee, opening it on first use.
+  void tee(unsigned i, const std::string& line) {
+    Slot& s = slots_[i];
+    if (opt_.heartbeat_path.empty()) return;
+    if (s.hb_file == nullptr) {
+      const std::string path = opt_.heartbeat_path + "." + std::to_string(i);
+      s.hb_file = std::fopen(path.c_str(), "w");
+    }
+    if (s.hb_file != nullptr) {
+      std::fwrite(line.data(), 1, line.size(), s.hb_file);
+      std::fputc('\n', s.hb_file);
+      std::fflush(s.hb_file);
+    }
+  }
+
+  /// Ends slot i's tee on the records merged from the slot, unless its
+  /// last beat already says so. A worker's own count can stop short: a
+  /// muted worker's beats stop, and a respawned slot's replacement
+  /// counts only its own records. (A slot with no tee never beat: every
+  /// welcomed worker beats once on welcome.)
+  void tee_final_beat(unsigned i) {
+    Slot& s = slots_[i];
+    if (s.hb_file == nullptr || s.last_beat.done == s.merged) return;
+    Heartbeat hb = s.last_beat;
+    hb.done = s.merged;
+    hb.last_spec = s.last_merged;
+    tee(i, format_heartbeat(hb));
   }
 
   /// One line off a worker's stream. `allow_control` is false while
@@ -571,10 +595,11 @@ class Fleet {
         s.fin_sent = true;
         send_all(s.fd, format_fin() + "\n");
       }
-      // Drain each socket to EOF. Beats still go to the tees, so each
-      // ends on its worker's final count; records can only be duplicates
-      // (every index is done) and are dropped. Workers are independent,
-      // so a sequential blocking drain cannot deadlock.
+      // Drain each socket to EOF. Beats still go to the tees; records can
+      // only be duplicates (every index is done) and are dropped. Then
+      // each tee ends on the records merged from its slot, so the tees
+      // sum to the sweep less what a --resume store supplied. Workers
+      // are independent, so a sequential blocking drain cannot deadlock.
       for (unsigned i = 0; i < slots_.size(); ++i) {
         Slot& s = slots_[i];
         while (s.fd >= 0) {
@@ -589,6 +614,7 @@ class Fleet {
             disconnect(i, "drained");
           }
         }
+        tee_final_beat(i);
         log_event(i, "done", 0, 0);
       }
       std::fflush(out_);

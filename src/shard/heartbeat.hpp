@@ -20,8 +20,13 @@
 // `done` counts the records this worker completed; `total` is the size
 // of the whole sweep, not the worker's share (a pull worker's share is
 // whatever it happens to lease). `last_spec` is the global spec index of
-// the most recently completed point, -1 before any completes. A tee's
-// last line is its worker's final state; earlier lines are its history.
+// the most recently completed point, -1 before any completes. When a
+// sweep completes, the coordinator ends each tee with one beat of its own:
+// `done` is the records it merged from that slot and `last_spec` the last
+// of them, so a finished fleet's tees sum to the sweep (less the records
+// a --resume store supplied) even when a muted worker's beats stopped
+// early or a respawned worker counted only its own. A tee's last line is
+// its slot's final state; earlier lines are its history.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "common/assert.hpp"
-#include "common/bitops.hpp"
 #include "sim/thread_ctx.hpp"
 
 namespace dsm::sim {
@@ -171,9 +170,9 @@ void Machine::op_compute(unsigned tid, InstrCount n, double fp_frac) {
   maybe_yield(tid);
 }
 
-void Machine::op_branch(unsigned tid, BlockId block, bool taken) {
+void Machine::op_branch(unsigned tid, Addr pc, std::uint64_t pc_hash,
+                        bool taken) {
   HotLane& ln = lanes_[tid];
-  const Addr pc = (fnv1a64(block) << 2) | 0x400000ull;
   const Cycle c = 1 + ln.core->branch_cycles(pc, taken);
   *ln.clock += c;
   ln.ps->branch_cycles += c;
@@ -181,7 +180,7 @@ void Machine::op_branch(unsigned tid, BlockId block, bool taken) {
   // The BBV accumulator: entry[hash(branch pc)] += instructions since the
   // previous branch (including this one).
   ProcState& ps = *ln.ps;
-  ps.bbv.record_branch(pc, ps.instr_since_branch);
+  ps.bbv.record_hashed(pc_hash, ps.instr_since_branch);
   ps.instr_since_branch = 0;
   maybe_yield(tid);
 }

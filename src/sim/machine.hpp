@@ -133,7 +133,9 @@ class Machine {
   // ---- operations invoked via ThreadCtx ----
   void op_mem(unsigned tid, Addr addr, bool write);
   void op_compute(unsigned tid, InstrCount n, double fp_frac);
-  void op_branch(unsigned tid, BlockId block, bool taken);
+  /// A branch at `pc`; `pc_hash` is fnv1a64(pc), the BBV accumulator's
+  /// hash, which ThreadCtx computes where the block id is a constant.
+  void op_branch(unsigned tid, Addr pc, std::uint64_t pc_hash, bool taken);
   void op_barrier(unsigned tid);
   SimLock& lock_by_id(unsigned id);
 

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "sim/machine.hpp"
@@ -32,6 +33,12 @@ constexpr BlockId bb_id(std::string_view site) {
   return h;
 }
 
+/// Synthetic address of the branch closing `block`: what the core's
+/// predictor and the BBV accumulator see.
+constexpr Addr branch_pc(BlockId block) {
+  return (fnv1a64(block) << 2) | 0x400000ull;
+}
+
 class ThreadCtx {
  public:
   ThreadCtx(Machine& m, unsigned tid) : m_(&m), tid_(tid) {}
@@ -48,14 +55,17 @@ class ThreadCtx {
   void compute(InstrCount n, double fp_frac = 0.0) {
     m_->op_compute(tid_, n, fp_frac);
   }
-  /// A conditional branch at the synthetic address of `block`.
+  /// A conditional branch at the synthetic address of `block`. The
+  /// address and its BBV hash are computed here, inline, so both fold to
+  /// constants for an app's constexpr block ids.
   void branch(BlockId block, bool taken = true) {
-    m_->op_branch(tid_, block, taken);
+    const Addr pc = branch_pc(block);
+    m_->op_branch(tid_, pc, fnv1a64(pc), taken);
   }
   /// Basic block: n straight-line instructions closed by a taken branch.
   void bb(BlockId block, InstrCount n, double fp_frac = 0.0) {
     if (n > 0) m_->op_compute(tid_, n, fp_frac);
-    m_->op_branch(tid_, block, true);
+    branch(block, true);
   }
 
   // ---- synchronization (cycles, no instructions) ----

@@ -4,6 +4,8 @@
 
 #include <numeric>
 
+#include "common/bitops.hpp"
+
 namespace dsm::phase {
 namespace {
 
@@ -109,11 +111,26 @@ TEST_P(BbvEntriesTest, IndicesInRangeAndStable) {
     const unsigned idx = acc.index_of(pc);
     EXPECT_LT(idx, entries);
     EXPECT_EQ(idx, acc.index_of(pc));
+    EXPECT_EQ(idx, fnv1a64(pc) % entries);
   }
 }
 
+// The simulated core hands the accumulator fnv1a64(pc) instead of pc; the
+// count must land where index_of(pc) says, masked or not.
+TEST_P(BbvEntriesTest, HashedBranchLandsAtIndexOf) {
+  const unsigned entries = GetParam();
+  BbvAccumulator acc(entries, 1u << 16);
+  for (Addr pc = 0x400000; pc < 0x400000 + 4096; pc += 4) {
+    const unsigned idx = acc.index_of(pc);
+    const std::uint64_t before = acc.raw()[idx];
+    acc.record_hashed(fnv1a64(pc), 3);
+    EXPECT_EQ(acc.raw()[idx], before + 3) << "pc 0x" << std::hex << pc;
+  }
+  EXPECT_EQ(acc.total_weight(), 3u * 1024);
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, BbvEntriesTest,
-                         ::testing::Values(1u, 8u, 32u, 33u, 64u, 128u));
+                         ::testing::Values(1u, 8u, 24u, 32u, 33u, 64u, 128u));
 
 }  // namespace
 }  // namespace dsm::phase

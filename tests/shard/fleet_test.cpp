@@ -70,6 +70,9 @@ struct WorkerScript {
   /// After fin, send one heartbeat counting the records sent, as a real
   /// worker's last beat can arrive once the coordinator is tearing down.
   bool beat_after_fin = false;
+  /// Send one done=0 beat on welcome and none after, like a real worker
+  /// whose beats a fault muted.
+  bool beat_on_welcome = false;
 };
 
 bool is_fin(const std::string& line) {
@@ -88,6 +91,13 @@ void run_worker(int fd, std::size_t total, const WorkerScript& script,
   std::string line;
   // welcome — or fin, when the sweep finished before our hello was read.
   if (!t.recv_line(&line)) return;
+  if (script.beat_on_welcome && !is_fin(line)) {
+    Heartbeat hb;
+    hb.bench = kBench;
+    hb.shard = "w0";
+    hb.total = total;
+    if (!t.send_line(format_heartbeat(hb))) return;
+  }
   std::size_t emitted = 0;
   bool first_record = true;
   while (!is_fin(line)) {
@@ -449,6 +459,26 @@ TEST(FleetTest, BeatAfterFinStillReachesTheTee) {
   const auto beats = read_tee(tee + ".0");
   ASSERT_EQ(beats.size(), 1u);
   EXPECT_EQ(beats[0].done, 5u);
+}
+
+// A worker whose beats stopped early leaves its tee short of what it
+// delivered; at teardown the coordinator ends the tee on the records it
+// merged from the slot.
+TEST(FleetTest, MutedWorkersTeeEndsOnWhatItsSlotMerged) {
+  const std::string tee = ::testing::TempDir() + "fleet_test_muted_hb";
+  FleetOptions opt;
+  opt.heartbeat_path = tee;
+  WorkerScript muted;
+  muted.beat_on_welcome = true;
+  const auto run = run_scripted_fleet(5, {muted}, opt);
+  EXPECT_EQ(run.rc, 0);
+  const auto beats = read_tee(tee + ".0");
+  ASSERT_EQ(beats.size(), 2u);
+  EXPECT_EQ(beats[0].done, 0u);
+  EXPECT_EQ(beats[1].done, 5u);
+  EXPECT_EQ(beats[1].total, 5u);
+  EXPECT_EQ(beats[1].last_spec, 4);
+  EXPECT_EQ(beats[1].shard, "w0");
 }
 
 TEST(FleetTest, ResumeLeasesOnlyTheGapsAndCompletesTheStore) {

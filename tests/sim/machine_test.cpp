@@ -189,6 +189,14 @@ TEST(MachineTest, BbvSnapshotsReflectBlockMix) {
   EXPECT_GT(phase::manhattan(v0, v1), 100'000u);  // nearly disjoint
 }
 
+// The branch address every app block closes with, as the core's
+// predictor and the BBV see it: (fnv1a64(block) << 2) | 0x400000. The
+// values are that formula's, taken before ThreadCtx computed it inline.
+TEST(MachineTest, BranchPcOfABlockIsPinned) {
+  static_assert(branch_pc(bb_id("lu.inner")) == 0xe5c8945d85e03cd8ull);
+  EXPECT_EQ(branch_pc(bb_id("fmm.direct")), 0x4ba077aac361ed64ull);
+}
+
 TEST(MachineTest, RemoteFractionGrowsWithHotRemoteData) {
   Machine m(small_cfg(4, 8'000));
   const auto run = m.run([](ThreadCtx& ctx) {
