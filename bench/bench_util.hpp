@@ -225,8 +225,9 @@ std::string curve_json(const std::vector<analysis::CurvePoint>& curve);
 /// Best-effort JSON object describing the measuring host — cpu model
 /// (/proc/cpuinfo), online core count, and cpufreq governor when
 /// readable ("unknown" otherwise): {"cpu": "...", "cores": N,
-/// "governor": "..."}. Written into every BENCH_*.json so wall-clock
-/// trajectory points recorded on different machines stay interpretable.
+/// "governor": "..."}. Written into perf_hotpath's and perf_sim's
+/// --json files so wall-clock numbers taken on different machines stay
+/// interpretable.
 std::string host_context_json();
 
 /// Pull-worker handshake for an empty sweep: connect, announce total 0,

@@ -14,7 +14,7 @@
 #   scripts/profile_hotpath.sh [--build=DIR] [--out=FILE] [-- extra args]
 #
 # Defaults: --build=build-pg, --out=profile_hotpath.txt. Extra args after
-# `--` go to perf_hotpath (e.g. `-- --topology=Hypercube`).
+# `--` go to perf_hotpath (e.g. `-- --nodes=8`).
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
