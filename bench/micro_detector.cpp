@@ -91,7 +91,7 @@ std::uint64_t bm_ddv_record_access(unsigned nodes, std::uint64_t iters) {
   }
   const auto g = ddv.gather(0);
   std::uint64_t sum = 0;
-  for (const auto f : g.own_f) sum += f;
+  for (const auto f : g.f()) sum += f;
   return sum;
 }
 

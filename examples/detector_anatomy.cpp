@@ -72,10 +72,10 @@ int main() {
   auto g = ddv.gather(0);
   std::printf("  interval X: F[0][*] = {%llu, %llu}, C = {%llu, %llu}, "
               "D[0][*] = {%u, %u}\n",
-              static_cast<unsigned long long>(g.own_f[0]),
-              static_cast<unsigned long long>(g.own_f[1]),
-              static_cast<unsigned long long>(g.c[0]),
-              static_cast<unsigned long long>(g.c[1]),
+              static_cast<unsigned long long>(g.f()[0]),
+              static_cast<unsigned long long>(g.f()[1]),
+              static_cast<unsigned long long>(g.c()[0]),
+              static_cast<unsigned long long>(g.c()[1]),
               ddv.distance(0, 0), ddv.distance(0, 1));
   std::printf("  DDS_0 = F*D*C summed = %.0f\n", g.dds);
 
@@ -85,10 +85,10 @@ int main() {
   for (int i = 0; i < 90; ++i) ddv.record_access(0, 1);
   g = ddv.gather(0);
   std::printf("  interval Y: F[0][*] = {%llu, %llu}, C = {%llu, %llu}\n",
-              static_cast<unsigned long long>(g.own_f[0]),
-              static_cast<unsigned long long>(g.own_f[1]),
-              static_cast<unsigned long long>(g.c[0]),
-              static_cast<unsigned long long>(g.c[1]));
+              static_cast<unsigned long long>(g.f()[0]),
+              static_cast<unsigned long long>(g.f()[1]),
+              static_cast<unsigned long long>(g.c()[0]),
+              static_cast<unsigned long long>(g.c()[1]));
   std::printf("  DDS_0 = %.0f\n", g.dds);
   std::printf("\n  Identical BBVs, very different DDS values: the BBV "
               "detector calls X and Y\n  the same phase, the BBV+DDV "

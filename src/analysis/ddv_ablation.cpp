@@ -20,11 +20,12 @@ std::vector<phase::ProcessorTrace> with_dds_variant(
   std::vector<phase::ProcessorTrace> out = procs;
   for (auto& proc : out) {
     for (auto& rec : proc.intervals) {
-      DSM_ASSERT(rec.f.size() == rec.c.size());
+      const auto fs = rec.f();
+      const auto cs = rec.c();
       double dds = 0.0;
-      for (NodeId j = 0; j < rec.f.size(); ++j) {
-        const auto f = static_cast<double>(rec.f[j]);
-        const auto c = static_cast<double>(rec.c[j]);
+      for (NodeId j = 0; j < fs.size(); ++j) {
+        const auto f = static_cast<double>(fs[j]);
+        const auto c = static_cast<double>(cs[j]);
         const auto d =
             static_cast<double>(topo.ddv_distance(proc.node, j));
         switch (variant) {

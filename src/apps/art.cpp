@@ -45,22 +45,55 @@ struct MatchResult {
   bool matched = false;
 };
 
+/// Bottom-up activation of every category: act[j] = sum_i feat[i] *
+/// bu[j][i]. Four categories share each pass over the features, and each
+/// still sums in feature order, so act[j] is the same double a loop over
+/// one category computes.
+void bottom_up(const ArtShared& s, const ArtParams& p,
+               const std::vector<double>& feat, std::vector<double>& act) {
+  act.resize(p.f2);
+  unsigned j = 0;
+  for (; j + 4 <= p.f2; j += 4) {
+    const double* w = &s.bu[std::size_t{j} * p.f1];
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    for (unsigned i = 0; i < p.f1; ++i) {
+      const double x = feat[i];
+      a0 += x * w[i];
+      a1 += x * w[p.f1 + i];
+      a2 += x * w[2 * p.f1 + i];
+      a3 += x * w[3 * p.f1 + i];
+    }
+    act[j] = a0;
+    act[j + 1] = a1;
+    act[j + 2] = a2;
+    act[j + 3] = a3;
+  }
+  for (; j < p.f2; ++j) {
+    double a = 0.0;
+    for (unsigned i = 0; i < p.f1; ++i) a += feat[i] * s.bu[j * p.f1 + i];
+    act[j] = a;
+  }
+}
+
+/// `act` is the caller's scratch for the activations: neither the
+/// features nor the weights change within one call, so every reset
+/// attempt reuses the activations computed once up front.
 MatchResult art_match(const ArtShared& s, const ArtParams& p,
-                      const std::vector<double>& feat) {
+                      const std::vector<double>& feat,
+                      std::vector<double>& act) {
   double norm = 1e-9;
   for (const double f : feat) norm += f;
+  bottom_up(s, p, feat, act);
   std::vector<bool> masked(p.f2, false);
   MatchResult r;
   for (unsigned attempt = 0; attempt < p.f2; ++attempt) {
-    // Bottom-up activation; pick the strongest unmasked category.
+    // Pick the strongest unmasked category.
     double best = -1.0;
     unsigned win = 0;
     for (unsigned j = 0; j < p.f2; ++j) {
       if (masked[j]) continue;
-      double a = 0.0;
-      for (unsigned i = 0; i < p.f1; ++i) a += feat[i] * s.bu[j * p.f1 + i];
-      if (a > best) {
-        best = a;
+      if (act[j] > best) {
+        best = act[j];
         win = j;
       }
     }
@@ -188,7 +221,7 @@ sim::AppFn make_art(const ArtParams& p) {
       ctx.unlock(kWeightLock);
     };
 
-    std::vector<double> feat;
+    std::vector<double> feat, act;
 
     // ---- stage 1: training on patterns cut from the target regions ----
     for (unsigned epoch = 0; epoch < p.train_epochs; ++epoch) {
@@ -201,7 +234,7 @@ sim::AppFn make_art(const ArtParams& p) {
             (p.image_h / (p.targets + 1) + (pat * 5) % 20) %
             (p.image_h - p.window);
         extract(wx, wy, feat);
-        const auto m = art_match(s, p, feat);
+        const auto m = art_match(s, p, feat, act);
         weight_pass_cost(kBbTrainAct);
         for (unsigned r = 0; r < m.resets; ++r)
           ctx.bb(kBbScanReset, instr(act_flops / p.f2), p.fp_frac);
@@ -224,7 +257,7 @@ sim::AppFn make_art(const ArtParams& p) {
         const unsigned wx = cxi * p.stride;
         extract(wx, wy, feat);
         weight_pass_cost(kBbScanAct);
-        const auto m = art_match(s, p, feat);
+        const auto m = art_match(s, p, feat, act);
         for (unsigned r = 0; r < m.resets; ++r)
           ctx.bb(kBbScanReset, instr(act_flops / p.f2), p.fp_frac);
         // The recognition branch: taken when a committed category wins —

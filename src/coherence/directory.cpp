@@ -40,10 +40,9 @@ Directory::Directory(NodeId home, std::size_t expected_lines)
 DirEntry& Directory::entry(Addr line_addr) {
   DSM_ASSERT(line_addr != kEmptyKey);
   // Keep load below 1/2 before probing so the returned reference is not
-  // invalidated by this call's own insert. Growth jumps 4x: a slice that
-  // outgrows its table is mid-warm-up, and quartering the rebuild count
-  // costs at most one doubling of the final table.
-  if ((size_ + 1) * 2 > keys_.size()) rebuild(keys_.size() * 4);
+  // invalidated by this call's own insert. Growth doubles (see the
+  // header's sizing note).
+  if ((size_ + 1) * 2 > keys_.size()) rebuild(keys_.size() * 2);
   const std::size_t start = slot_of(line_addr);
   const std::size_t mask = keys_.size() - 1;
   std::size_t i = start;

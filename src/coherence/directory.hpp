@@ -15,6 +15,12 @@
 // matched slot. With the old {key, used, DirEntry} records a slice's
 // probe working set was 4x larger and every probe step dragged the
 // payload through the host caches.
+//
+// Sizing: entry() doubles the table before an insert would push its load
+// past 1/2, so a slice that has grown holds at most 4x the live entries
+// it held when it grew, at 24 bytes of lanes per slot. Doubling rather
+// than growing 4x keeps that bound at 4x instead of 8x for the price of
+// one more rebuild per 4x of growth.
 #pragma once
 
 #include <bit>
@@ -59,8 +65,8 @@ class Directory {
   /// many lines it will track (a microbenchmark that times lookups in a
   /// table at steady size). 0, the default and what the fabric uses,
   /// starts small: a slice grows with the lines actually cached, and
-  /// each growth rebuilds at 4x, so the rebuild count stays
-  /// logarithmically small.
+  /// each growth doubles it, so the rebuild count stays logarithmic
+  /// and a grown slice holds at most 4x its live entries in slots.
   explicit Directory(NodeId home, std::size_t expected_lines = 0);
 
   NodeId home() const { return home_; }

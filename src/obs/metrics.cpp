@@ -22,14 +22,15 @@ MetricsRegistry::MetricsRegistry() {
 
 CounterHandle MetricsRegistry::counter(const std::string& name) {
   DSM_ASSERT_MSG(!name.empty(), "counter needs a name");
-  for (std::size_t i = 0; i < counter_names_.size(); ++i)
-    if (counter_names_[i] == name) return CounterHandle(&slots_[i].v);
+  if (const auto it = counter_index_.find(name); it != counter_index_.end())
+    return CounterHandle(&slots_[it->second].v);
   DSM_ASSERT_MSG(slots_.size() < kMaxCounters,
                  "metrics registry counter lane exhausted");
   // Registrants must all exist before the interval ring fixes the
   // tracked slots — a late one would silently fall out of the timeline.
   DSM_ASSERT_MSG(interval_cap_ == 0,
                  "counter registered after enable_intervals");
+  counter_index_.emplace(name, slots_.size());
   slots_.emplace_back();
   counter_names_.push_back(name);
   return CounterHandle(&slots_.back().v);
@@ -189,9 +190,8 @@ std::string MetricsRegistry::snapshot_json() const {
 }
 
 std::uint64_t MetricsRegistry::value(const std::string& name) const {
-  for (std::size_t i = 0; i < counter_names_.size(); ++i)
-    if (counter_names_[i] == name) return slots_[i].v;
-  return 0;
+  const auto it = counter_index_.find(name);
+  return it == counter_index_.end() ? 0 : slots_[it->second].v;
 }
 
 std::vector<std::uint64_t> MetricsRegistry::histogram_values(

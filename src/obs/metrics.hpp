@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -189,6 +190,9 @@ class MetricsRegistry {
   std::vector<Slot> slots_;                 ///< capacity fixed at ctor
   std::vector<std::uint64_t> hist_slots_;   ///< capacity fixed at ctor
   std::vector<std::string> counter_names_;  ///< counter i is slots_[i]
+  /// name -> i: counter() and value() find a name without scanning
+  /// counter_names_ (the network registers 2 * nodes^2 counters).
+  std::unordered_map<std::string, std::size_t> counter_index_;
   std::vector<HistInfo> hists_;
 
   // Interval ring (enable_intervals). Every counter is tracked:

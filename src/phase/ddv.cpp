@@ -1,5 +1,7 @@
 #include "phase/ddv.hpp"
 
+#include <limits>
+
 #include "common/assert.hpp"
 
 namespace dsm::phase {
@@ -8,7 +10,8 @@ DdvFabric::DdvFabric(unsigned nodes, std::vector<std::uint32_t> distance_matrix)
     : nodes_(nodes),
       dist_(std::move(distance_matrix)),
       cumulative_(std::size_t{nodes} * nodes, 0),
-      snapshot_(std::size_t{nodes} * nodes * nodes, 0) {
+      own_snapshot_(cumulative_.size(), 0),
+      total_snapshot_(cumulative_.size(), 0) {
   DSM_ASSERT(nodes_ > 0);
   DSM_ASSERT(dist_.size() == std::size_t{nodes_} * nodes_);
   for (NodeId i = 0; i < nodes_; ++i)
@@ -21,12 +24,6 @@ void DdvFabric::record_access(NodeId p, NodeId home) {
   ++cumulative_[idx(p, home)];
 }
 
-std::uint64_t DdvFabric::frequency(NodeId p, NodeId k, NodeId j) const {
-  DSM_ASSERT(p < nodes_ && k < nodes_ && j < nodes_);
-  const std::size_t s = (std::size_t{p} * nodes_ + k) * nodes_ + j;
-  return cumulative_[idx(p, j)] - snapshot_[s];
-}
-
 std::uint32_t DdvFabric::distance(NodeId i, NodeId j) const {
   DSM_ASSERT(i < nodes_ && j < nodes_);
   return dist_[idx(i, j)];
@@ -35,24 +32,24 @@ std::uint32_t DdvFabric::distance(NodeId i, NodeId j) const {
 DdvFabric::GatherResult DdvFabric::gather(NodeId i) {
   DSM_ASSERT(i < nodes_);
   GatherResult out;
-  out.own_f.assign(nodes_, 0);
-  out.c.assign(nodes_, 0);
-
-  for (NodeId p = 0; p < nodes_; ++p) {
-    for (NodeId j = 0; j < nodes_; ++j) {
-      const std::size_t s = (std::size_t{p} * nodes_ + i) * nodes_ + j;
-      const std::uint64_t f = cumulative_[idx(p, j)] - snapshot_[s];
-      out.c[j] += f;
-      if (p == i) out.own_f[j] = f;
-      snapshot_[s] = cumulative_[idx(p, j)];  // zero the on-behalf count
-    }
-  }
+  out.counts.resize(2 * std::size_t{nodes_});
 
   double dds = 0.0;
   for (NodeId j = 0; j < nodes_; ++j) {
-    dds += static_cast<double>(out.own_f[j]) *
-           static_cast<double>(dist_[idx(i, j)]) *
-           static_cast<double>(out.c[j]);
+    std::uint64_t total = 0;  // sum_p A^p[j]
+    for (NodeId p = 0; p < nodes_; ++p) total += cumulative_[idx(p, j)];
+    const std::uint64_t own = cumulative_[idx(i, j)];
+    const std::uint64_t f = own - own_snapshot_[idx(i, j)];
+    const std::uint64_t c = total - total_snapshot_[idx(i, j)];
+    // C[j] includes F[i][j], so one check covers both counters.
+    DSM_ASSERT_MSG(c <= std::numeric_limits<std::uint32_t>::max(),
+                   "DDV count overflows its 32-bit counter");
+    own_snapshot_[idx(i, j)] = own;  // zero the on-behalf-of-i counts
+    total_snapshot_[idx(i, j)] = total;
+    out.counts[j] = static_cast<std::uint32_t>(f);
+    out.counts[nodes_ + j] = static_cast<std::uint32_t>(c);
+    dds += static_cast<double>(f) * static_cast<double>(dist_[idx(i, j)]) *
+           static_cast<double>(c);
   }
   out.dds = dds;
   return out;
@@ -68,7 +65,8 @@ std::uint64_t DdvFabric::gather_payload_bytes(unsigned counter_bytes,
 
 void DdvFabric::reset() {
   std::fill(cumulative_.begin(), cumulative_.end(), 0);
-  std::fill(snapshot_.begin(), snapshot_.end(), 0);
+  std::fill(own_snapshot_.begin(), own_snapshot_.end(), 0);
+  std::fill(total_snapshot_.begin(), total_snapshot_.end(), 0);
 }
 
 }  // namespace dsm::phase

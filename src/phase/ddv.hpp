@@ -13,20 +13,40 @@
 // commit and zeroed when k gathers it, so counts line up with *k's*
 // interval boundaries even though intervals are local to each processor.
 //
-// Implementation note: "increment all F^p[k][j] for every k" is realized
-// in O(1) per access by keeping one cumulative counter A^p[j] plus an
-// epoch snapshot per (p, k); F^p[k][j] == A^p[j] - S^p[k][j]. The tests
-// (`ddv_test.cpp`) verify this is arithmetically identical to the paper's
-// formulation.
+// Implementation note: the n^3 on-behalf counters are never stored. Each
+// processor p keeps one cumulative counter A^p[j] (O(1) per access), and
+// F^p[k][j] is A^p[j] minus its value at k's last gather. A gather by i
+// needs only two sums of those: its own row, F^i[i][j] = A^i[j] - R[i][j],
+// and the column, C[j] = sum_p F^p[i][j] = sum_p A^p[j] - T[i][j], where
+// R and T are i's snapshots of its own row and of the column totals at
+// its last gather. That is 3n^2 counters (A, R, T) instead of n^2 + n^3,
+// and every F and C stays an exact integer difference. The tests
+// (`ddv_test.cpp`) replay random sequences against a literal n^3 model
+// of the paper's formulation.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/types.hpp"
 
 namespace dsm::phase {
+
+/// One interval's DDV counts as processor i's gather delivers them:
+/// F[i][*] (i's accesses per home) then C[*] (system-wide accesses per
+/// home), 2n 32-bit counts, the width of the paper's counters.
+struct DdvCounts {
+  std::vector<std::uint32_t> counts;
+
+  std::span<const std::uint32_t> f() const {
+    return {counts.data(), counts.size() / 2};
+  }
+  std::span<const std::uint32_t> c() const {
+    return {counts.data() + counts.size() / 2, counts.size() / 2};
+  }
+};
 
 class DdvFabric {
  public:
@@ -46,21 +66,18 @@ class DdvFabric {
     return &cumulative_[idx(p, 0)];
   }
 
-  /// F^p[k][j] as the paper defines it (for tests and diagnostics).
-  std::uint64_t frequency(NodeId p, NodeId k, NodeId j) const;
-
   std::uint32_t distance(NodeId i, NodeId j) const;
 
-  /// Result of processor i's end-of-interval gather.
-  struct GatherResult {
-    std::vector<std::uint64_t> own_f;  ///< F[i][*]: i's accesses per home
-    std::vector<std::uint64_t> c;      ///< system-wide accesses per home
+  /// Result of processor i's end-of-interval gather. Machine moves the
+  /// counts into the interval's IntervalRecord.
+  struct GatherResult : DdvCounts {
     double dds = 0.0;
   };
 
   /// Executes the end-of-interval exchange for processor i: collects every
   /// F^p[i][*] vector, sums them into C, computes DDS from i's own vector,
   /// and zeroes all on-behalf-of-i counts (starting i's next interval).
+  /// Aborts if a count outgrows its 32-bit counter.
   GatherResult gather(NodeId i);
 
   /// Payload bytes processor i moves per gather: (n-1) requests plus
@@ -77,9 +94,10 @@ class DdvFabric {
   unsigned nodes_;
   std::vector<std::uint32_t> dist_;        ///< n*n row-major
   std::vector<std::uint64_t> cumulative_;  ///< A^p[j], n*n row-major
-  /// S^p[k][j]: snapshot of A^p[j] at k's last gather; n*n*n,
-  /// indexed [p][k][j].
-  std::vector<std::uint64_t> snapshot_;
+  /// R[i][j]: A^i[j] at i's last gather; n*n row-major.
+  std::vector<std::uint64_t> own_snapshot_;
+  /// T[i][j]: sum_p A^p[j] at i's last gather; n*n row-major.
+  std::vector<std::uint64_t> total_snapshot_;
 };
 
 }  // namespace dsm::phase

@@ -90,7 +90,7 @@ void Machine::end_interval(unsigned tid) {
   // frequency vector. The traffic is recorded (it is the subject of the
   // paper's §III-B overhead estimate); the latency is off the critical
   // path — the exchange overlaps execution in dedicated hardware.
-  const auto gather = ddv_.gather(tid);
+  auto gather = ddv_.gather(tid);
   const unsigned vec_bytes = 4 * cfg_.num_nodes;
   for (NodeId p = 0; p < cfg_.num_nodes; ++p) {
     if (p == tid) continue;
@@ -101,8 +101,7 @@ void Machine::end_interval(unsigned tid) {
 
   phase::IntervalRecord rec;
   rec.bbv = ps.bbv.snapshot();
-  rec.f = gather.own_f;
-  rec.c = gather.c;
+  rec.counts = std::move(gather.counts);
   rec.dds = gather.dds;
   rec.instructions = ps.instr_in_interval;
   rec.cycles = now - ps.interval_start;

@@ -9,12 +9,11 @@ std::vector<phase::ProcessorTrace> one_record(unsigned nodes) {
   std::vector<phase::ProcessorTrace> procs(1);
   procs[0].node = 0;
   phase::IntervalRecord r;
-  r.f.assign(nodes, 0);
-  r.c.assign(nodes, 0);
-  r.f[0] = 4;
-  r.f[1] = 2;
-  r.c[0] = 4;
-  r.c[1] = 7;
+  r.counts.assign(2 * std::size_t{nodes}, 0);  // F[*] then C[*]
+  r.counts[0] = 4;
+  r.counts[1] = 2;
+  r.counts[nodes + 0] = 4;
+  r.counts[nodes + 1] = 7;
   r.dds = -1.0;  // must be overwritten
   procs[0].intervals.push_back(r);
   return procs;
@@ -40,8 +39,8 @@ TEST(DdvAblationTest, UsesPerProcessorDistanceRow) {
   std::vector<phase::ProcessorTrace> procs(1);
   procs[0].node = 1;
   phase::IntervalRecord r;
-  r.f = {0, 0, 3, 0};
-  r.c = {0, 0, 5, 0};
+  r.counts = {0, 0, 3, 0,   // F
+              0, 0, 5, 0};  // C
   procs[0].intervals.push_back(r);
   const auto out =
       with_dds_variant(procs, topo, DdsVariant::kFull)[0].intervals[0];

@@ -64,10 +64,10 @@ TEST_P(AppBehaviourTest, DdvVectorsPopulated) {
   const auto r = run(GetParam(), 4);
   bool any_remote_f = false;
   for (const auto& rec : r.procs[1].intervals) {
-    ASSERT_EQ(rec.f.size(), 4u);
+    ASSERT_EQ(rec.f().size(), 4u);
     for (NodeId j = 0; j < 4; ++j) {
-      if (j != 1 && rec.f[j] > 0) any_remote_f = true;
-      EXPECT_GE(rec.c[j], rec.f[j]);  // C aggregates everyone
+      if (j != 1 && rec.f()[j] > 0) any_remote_f = true;
+      EXPECT_GE(rec.c()[j], rec.f()[j]);  // C aggregates everyone
     }
   }
   EXPECT_TRUE(any_remote_f) << "workload never touches remote homes";

@@ -59,11 +59,12 @@ TEST(FmmTest, ClusterDriftShiftsRemoteMix) {
   ASSERT_GE(iv.size(), 4u);
   // Compare normalized home distributions of an early and a late interval.
   auto norm_f = [](const phase::IntervalRecord& r) {
-    std::vector<double> v(r.f.size());
+    const auto f = r.f();
+    std::vector<double> v(f.size());
     double total = 1e-9;
-    for (const auto x : r.f) total += static_cast<double>(x);
-    for (std::size_t j = 0; j < r.f.size(); ++j)
-      v[j] = static_cast<double>(r.f[j]) / total;
+    for (const auto x : f) total += static_cast<double>(x);
+    for (std::size_t j = 0; j < f.size(); ++j)
+      v[j] = static_cast<double>(f[j]) / total;
     return v;
   };
   const auto a = norm_f(iv[1]);

@@ -71,7 +71,7 @@ TEST(LuTest, BlocksAreHomedAtTheirOwners) {
   for (unsigned q = 0; q < 4; ++q) {
     std::vector<std::uint64_t> f(4, 0);
     for (const auto& rec : run.procs[q].intervals)
-      for (unsigned j = 0; j < 4; ++j) f[j] += rec.f[j];
+      for (unsigned j = 0; j < 4; ++j) f[j] += rec.f()[j];
     std::uint64_t own = f[q], max_other = 0;
     for (unsigned j = 0; j < 4; ++j)
       if (j != q) max_other = std::max(max_other, f[j]);

@@ -73,9 +73,9 @@ TEST(MicroTest, HotHomeSegmentsShareBbvButNotDds) {
   std::vector<double> hot_dds, local_dds;
   for (const auto& rec : iv) {
     std::uint64_t total = 0;
-    for (const auto f : rec.f) total += f;
+    for (const auto f : rec.f()) total += f;
     if (total == 0) continue;
-    if (rec.f[0] > total / 2) hot_dds.push_back(rec.dds);
+    if (rec.f()[0] > total / 2) hot_dds.push_back(rec.dds);
     else local_dds.push_back(rec.dds);
   }
   ASSERT_GE(hot_dds.size(), 2u);
@@ -98,9 +98,9 @@ TEST(MicroTest, HotHomeRemoteProcsPayMoreInHotSegments) {
   unsigned hot_n = 0, local_n = 0;
   for (const auto& rec : iv) {
     std::uint64_t total = 0;
-    for (const auto f : rec.f) total += f;
+    for (const auto f : rec.f()) total += f;
     if (total == 0) continue;
-    if (rec.f[0] > total / 2) {
+    if (rec.f()[0] > total / 2) {
       hot_cpi += rec.cpi;
       ++hot_n;
     } else {

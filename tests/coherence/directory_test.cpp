@@ -95,6 +95,19 @@ TEST(DirectoryTest, CheckInvariantsHoldsThroughStructuralChurn) {
   d.check_invariants();
 }
 
+// A slice starts at 1,024 slots and doubles before an insert would push
+// its load past 1/2: insert 513 is the first growth, to 2,048 slots (a 4x
+// step would reach 4,096, holding 8x the live entries).
+TEST(DirectoryTest, GrowthDoublesTheSlice) {
+  Directory d(0);
+  for (Addr a = 0; a < 512; ++a) d.entry(a * 64);
+  EXPECT_EQ(d.capacity(), 1024u);
+  d.entry(512 * 64);
+  EXPECT_EQ(d.tracked_lines(), 513u);
+  EXPECT_EQ(d.capacity(), 2048u);
+  d.check_invariants();
+}
+
 // Randomized model check: the flat open-addressing slice must behave like
 // a plain map through inserts, mutations, growth, and in-place erasure.
 TEST(DirectoryTest, RandomizedLockstepAgainstMapModel) {

@@ -278,8 +278,7 @@ void expect_identical(const sim::RunSummary& a, const sim::RunSummary& b) {
     ASSERT_EQ(ia.size(), ib.size());
     for (std::size_t k = 0; k < ia.size(); ++k) {
       EXPECT_EQ(ia[k].bbv, ib[k].bbv);
-      EXPECT_EQ(ia[k].f, ib[k].f);
-      EXPECT_EQ(ia[k].c, ib[k].c);
+      EXPECT_EQ(ia[k].counts, ib[k].counts);
       EXPECT_EQ(ia[k].cycles, ib[k].cycles);
       EXPECT_EQ(ia[k].instructions, ib[k].instructions);
       // Bit-level equality, deliberately: determinism is the contract.

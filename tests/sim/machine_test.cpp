@@ -99,12 +99,12 @@ TEST(MachineTest, IntervalRecordsCarryDdvVectors) {
     }
   });
   const auto& rec = run.procs[1].intervals.at(0);
-  ASSERT_EQ(rec.f.size(), 4u);
-  ASSERT_EQ(rec.c.size(), 4u);
+  ASSERT_EQ(rec.counts.size(), 8u);
+  const auto f = rec.f();
   // Node 1's own accesses concentrate on home 0.
-  EXPECT_GT(rec.f[0], rec.f[1] + rec.f[2] + rec.f[3]);
+  EXPECT_GT(f[0], f[1] + f[2] + f[3]);
   // Contention vector aggregates everyone: C[0] >= own F[0].
-  EXPECT_GE(rec.c[0], rec.f[0]);
+  EXPECT_GE(rec.c()[0], f[0]);
   EXPECT_GT(rec.dds, 0.0);
 }
 
@@ -147,7 +147,8 @@ TEST(MachineTest, DeterministicAcrossRuns) {
       EXPECT_EQ(a.procs[p].intervals[i].cycles,
                 b.procs[p].intervals[i].cycles);
       EXPECT_EQ(a.procs[p].intervals[i].bbv, b.procs[p].intervals[i].bbv);
-      EXPECT_EQ(a.procs[p].intervals[i].f, b.procs[p].intervals[i].f);
+      EXPECT_EQ(a.procs[p].intervals[i].counts,
+                b.procs[p].intervals[i].counts);
     }
   }
 }
