@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -75,23 +76,22 @@ void bottom_up(const ArtShared& s, const ArtParams& p,
   }
 }
 
-/// `act` is the caller's scratch for the activations: neither the
-/// features nor the weights change within one call, so every reset
-/// attempt reuses the activations computed once up front.
+/// `act` is the caller's scratch: neither the features nor the weights
+/// change within one call, so the activations are computed once up
+/// front, and each reset masks its category there.
 MatchResult art_match(const ArtShared& s, const ArtParams& p,
                       const std::vector<double>& feat,
                       std::vector<double>& act) {
   double norm = 1e-9;
   for (const double f : feat) norm += f;
   bottom_up(s, p, feat, act);
-  std::vector<bool> masked(p.f2, false);
   MatchResult r;
   for (unsigned attempt = 0; attempt < p.f2; ++attempt) {
-    // Pick the strongest unmasked category.
+    // Pick the strongest category not yet reset (a reset one reads -inf;
+    // activations are sums of non-negative products).
     double best = -1.0;
     unsigned win = 0;
     for (unsigned j = 0; j < p.f2; ++j) {
-      if (masked[j]) continue;
       if (act[j] > best) {
         best = act[j];
         win = j;
@@ -112,7 +112,7 @@ MatchResult art_match(const ArtShared& s, const ArtParams& p,
       r.matched = s.committed[win];
       return r;
     }
-    masked[win] = true;
+    act[win] = -std::numeric_limits<double>::infinity();
     ++r.resets;
   }
   r.resets = p.f2;
