@@ -110,8 +110,7 @@ HotResult time_config(const HotConfig& hc, std::uint64_t accesses,
   // standalone, exactly as Machine would, and hand it to both consumers.
   obs::Observability obs(obs_cfg, hc.nodes);
   net::Network network(cfg, &obs);
-  mem::HomeMap home_map(hc.nodes, cfg.memory.page_bytes,
-                        mem::Placement::kRoundRobin);
+  mem::HomeMap home_map(hc.nodes, cfg.memory.page_bytes);
   coh::CoherenceFabric fabric(cfg, network, home_map, &obs);
 
   Rng rng(stream_seed(hc));

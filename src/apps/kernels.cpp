@@ -15,17 +15,6 @@ void sweep_lines(sim::ThreadCtx& ctx, Addr base, std::uint64_t bytes,
   }
 }
 
-void stream_lines(sim::ThreadCtx& ctx, Addr src, Addr dst,
-                  std::uint64_t bytes, BlockId site,
-                  InstrCount instr_per_line, double fp_frac) {
-  const unsigned line = ctx.config().l2.line_bytes;
-  for (std::uint64_t off = 0; off < bytes; off += line) {
-    ctx.load(src + off);
-    ctx.store(dst + off);
-    ctx.bb(site, instr_per_line, fp_frac);
-  }
-}
-
 void block_update(sim::ThreadCtx& ctx, Addr dst, Addr a, Addr b,
                   std::uint64_t bytes, BlockId site,
                   InstrCount instr_per_line, double fp_frac) {

@@ -22,12 +22,6 @@ void sweep_lines(sim::ThreadCtx& ctx, Addr base, std::uint64_t bytes,
                  bool write, BlockId site, InstrCount instr_per_line,
                  double fp_frac);
 
-/// Reads every line of src, writes every line of dst (equal sizes),
-/// charging `instr_per_line` per line — a copy/axpy-style streaming loop.
-void stream_lines(sim::ThreadCtx& ctx, Addr src, Addr dst,
-                  std::uint64_t bytes, BlockId site,
-                  InstrCount instr_per_line, double fp_frac);
-
 /// A two-operand block update: dst_line op= f(a_line, b_line) for each of
 /// the `lines` lines — the inner shape of a blocked matrix kernel
 /// (load a, load b, load dst, store dst per line).

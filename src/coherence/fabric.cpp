@@ -38,7 +38,7 @@ CoherenceFabric::Node::Node(const MachineConfig& cfg, NodeId id)
 
 CoherenceFabric::CoherenceFabric(const MachineConfig& cfg,
                                  net::Network& network,
-                                 mem::HomeMap& home_map,
+                                 const mem::HomeMap& home_map,
                                  obs::Observability* obs)
     : cfg_(cfg),
       pol_(&policy_for(cfg.protocol)),
@@ -104,7 +104,7 @@ AccessOutcome CoherenceFabric::access_miss(NodeId node, Addr line,
   Node& me = nodes_[node];
   AccessOutcome out;
   out.write = is_write;
-  out.home = home_map_->home_of(line, node);
+  out.home = home_map_->home_of(line);
   if (is_write) ++me.stats.stores; else ++me.stats.loads;
 
   // ---- L1: access()'s tag walk, reused below ----
@@ -165,8 +165,7 @@ AccessOutcome CoherenceFabric::access_miss(NodeId node, Addr line,
     // True miss: the fill below will displace the predicted victim. Warm
     // its home-directory slot too, while the directory round-trip below
     // hides the host latency.
-    const NodeId vh = home_map_->peek_home(c2.victim_line);
-    if (vh != kNoNode) nodes_[vh].dir.prefetch(c2.victim_line);
+    nodes_[home_map_->home_of(c2.victim_line)].dir.prefetch(c2.victim_line);
   }
 
   // ---- Directory ----
@@ -398,7 +397,7 @@ void CoherenceFabric::handle_l2_eviction(NodeId evictor, const mem::Victim& v,
                      v.state == LineState::kOwned ||
                      l1_state == LineState::kModified;
 
-  const NodeId vhome = home_map_->home_of(v.line_addr, evictor);
+  const NodeId vhome = home_map_->home_of(v.line_addr);
   Node& h = nodes_[vhome];
 
   if (dirty) {
@@ -465,7 +464,7 @@ void CoherenceFabric::check_invariants() const {
   std::uint64_t attributed = 0;
   for (NodeId h = 0; h < n; ++h) {
     nodes_[h].dir.for_each([&](Addr line, const DirEntry& e) {
-      DSM_ASSERT_MSG(home_map_->peek_home(line) == h,
+      DSM_ASSERT_MSG(home_map_->home_of(line) == h,
                      "directory entry away from the line's home");
       for_each_set_bit(e.sharers, [&](unsigned p) {
         ++attributed;

@@ -77,7 +77,8 @@ class CoherenceFabric {
   /// nothing else. Counters and trace events fire only at simulated-event
   /// sites, so their values are identical across --threads/--shards.
   CoherenceFabric(const MachineConfig& cfg, net::Network& network,
-                  mem::HomeMap& home_map, obs::Observability* obs = nullptr);
+                  const mem::HomeMap& home_map,
+                  obs::Observability* obs = nullptr);
 
   /// Performs one committed load (is_write=false) or store (is_write=true)
   /// by `node` at local time `now`. An L1 hit that changes no state — a
@@ -100,7 +101,7 @@ class CoherenceFabric {
     AccessOutcome out;
     out.latency = cfg_.l1.latency_cycles;
     out.source = DataSource::kL1;
-    out.home = home_map_->home_of(line, node);
+    out.home = home_map_->home_of(line);
     out.l1_hit = true;
     out.write = is_write;
     return out;
@@ -113,7 +114,6 @@ class CoherenceFabric {
   Directory& directory(NodeId home);
   mem::MemController& controller(NodeId home);
   const NodeCoherenceStats& stats(NodeId n) const;
-  mem::HomeMap& home_map() { return *home_map_; }
 
   unsigned nodes() const { return cfg_.num_nodes; }
   unsigned line_bytes() const { return cfg_.l2.line_bytes; }
@@ -221,7 +221,7 @@ class CoherenceFabric {
   /// one its store_hit entry leaves unchanged.
   std::uint8_t l1_hit_states_[2] = {};
   net::Network& network_;
-  mem::HomeMap* home_map_;
+  const mem::HomeMap* home_map_;
   ObsHooks obs_;
   obs::TraceBuffer* trace_ = nullptr;  ///< null when tracing is off
   /// Node state by value: the per-access path indexes straight into the

@@ -22,10 +22,6 @@ void set_log_level(LogLevel level) {
   g_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-LogLevel log_level() {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
-
 void logf(LogLevel level, const char* fmt, ...) {
   if (static_cast<int>(level) > g_level.load(std::memory_order_relaxed))
     return;

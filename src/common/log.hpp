@@ -10,7 +10,6 @@ enum class LogLevel : int { kError = 0, kWarn = 1, kInfo = 2, kDebug = 3 };
 
 /// Global log threshold; messages above it are discarded.
 void set_log_level(LogLevel level);
-LogLevel log_level();
 
 /// printf-style logging to stderr with a level prefix.
 void logf(LogLevel level, const char* fmt, ...)

@@ -59,12 +59,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  DSM_ASSERT(lo <= hi);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
 double Rng::next_double() {
   // 53 random mantissa bits.
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
@@ -83,42 +77,5 @@ double Rng::normal(double mean, double stddev) {
   const double r = std::sqrt(-2.0 * std::log(u1));
   return mean + stddev * r * std::cos(2.0 * std::numbers::pi * u2);
 }
-
-double Rng::exponential(double lambda) {
-  DSM_ASSERT(lambda > 0.0);
-  double u = next_double();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -std::log(u) / lambda;
-}
-
-bool Rng::bernoulli(double p) { return next_double() < p; }
-
-std::uint64_t Rng::zipf(std::uint64_t n, double s) {
-  DSM_ASSERT(n != 0);
-  if (n == 1) return 0;
-  // Inverse-CDF by bisection over the generalized harmonic partial sums,
-  // approximated with the integral of x^-s. Accurate enough for workload
-  // skew; exactness is not required, determinism is.
-  const double u = next_double();
-  if (s <= 0.0) return next_below(n);
-  double total;
-  if (std::abs(s - 1.0) < 1e-9) {
-    total = std::log(static_cast<double>(n) + 1.0);
-  } else {
-    total = (std::pow(static_cast<double>(n) + 1.0, 1.0 - s) - 1.0) / (1.0 - s);
-  }
-  const double target = u * total;
-  double x;
-  if (std::abs(s - 1.0) < 1e-9) {
-    x = std::exp(target) - 1.0;
-  } else {
-    x = std::pow(target * (1.0 - s) + 1.0, 1.0 / (1.0 - s)) - 1.0;
-  }
-  auto k = static_cast<std::uint64_t>(x);
-  if (k >= n) k = n - 1;
-  return k;
-}
-
-Rng Rng::split() { return Rng(next_u64()); }
 
 }  // namespace dsm

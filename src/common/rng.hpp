@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace dsm {
 
@@ -26,9 +25,6 @@ class Rng {
   /// (unbiased). bound must be nonzero.
   std::uint64_t next_below(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Uniform real in [0, 1).
   double next_double();
 
@@ -37,30 +33,6 @@ class Rng {
 
   /// Standard normal via Box–Muller (deterministic, no cached spare).
   double normal(double mean = 0.0, double stddev = 1.0);
-
-  /// Exponential with the given rate parameter (lambda > 0).
-  double exponential(double lambda);
-
-  /// True with probability p.
-  bool bernoulli(double p);
-
-  /// Geometric-like bounded Zipf sample in [0, n) with exponent s,
-  /// computed via inverse-CDF over a precomputable table-free loop.
-  std::uint64_t zipf(std::uint64_t n, double s);
-
-  /// Fisher–Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      const std::size_t j = static_cast<std::size_t>(next_below(i));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
-
-  /// Splits off an independent stream (jump-free: re-seeds from this
-  /// stream's output, which is sufficient for workload generation).
-  Rng split();
 
  private:
   std::uint64_t s_[4];

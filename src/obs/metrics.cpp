@@ -4,28 +4,10 @@
 
 namespace dsm::obs {
 
-namespace {
-/// Fixed lane capacities. Handles are raw pointers into the lanes, so the
-/// lanes must never reallocate: reserve once, assert on overflow. 4096
-/// padded counters = 256 KB, 64 Ki histogram buckets = 512 KB — trivial
-/// next to one simulated L2. The largest registrant is the per-link
-/// network lane, two counters per dense link id (2 * nodes^2), so the
-/// counter lane fits machines of up to 32 nodes.
-constexpr std::size_t kMaxCounters = 4096;
-constexpr std::size_t kMaxHistSlots = 1 << 16;
-}  // namespace
-
-MetricsRegistry::MetricsRegistry() {
-  slots_.reserve(kMaxCounters);
-  hist_slots_.reserve(kMaxHistSlots);
-}
-
 CounterHandle MetricsRegistry::counter(const std::string& name) {
   DSM_ASSERT_MSG(!name.empty(), "counter needs a name");
   if (const auto it = counter_index_.find(name); it != counter_index_.end())
     return CounterHandle(&slots_[it->second].v);
-  DSM_ASSERT_MSG(slots_.size() < kMaxCounters,
-                 "metrics registry counter lane exhausted");
   // Registrants must all exist before the interval ring fixes the
   // tracked slots — a late one would silently fall out of the timeline.
   DSM_ASSERT_MSG(interval_cap_ == 0,
@@ -39,18 +21,14 @@ CounterHandle MetricsRegistry::counter(const std::string& name) {
 HistogramHandle MetricsRegistry::histogram(const std::string& name,
                                            std::uint32_t buckets) {
   DSM_ASSERT_MSG(!name.empty() && buckets >= 1, "bad histogram registration");
-  for (const auto& h : hists_) {
+  for (auto& h : hists_) {
     if (h.name != name) continue;
-    DSM_ASSERT_MSG(h.buckets == buckets,
+    DSM_ASSERT_MSG(h.buckets.size() == buckets,
                    "histogram re-registered with a different width");
-    return HistogramHandle(&hist_slots_[h.base], h.buckets);
+    return HistogramHandle(h.buckets.data(), buckets);
   }
-  DSM_ASSERT_MSG(hist_slots_.size() + buckets <= kMaxHistSlots,
-                 "metrics registry histogram lane exhausted");
-  const std::size_t base = hist_slots_.size();
-  hist_slots_.resize(base + buckets, 0);
-  hists_.push_back(HistInfo{name, base, buckets});
-  return HistogramHandle(&hist_slots_[base], buckets);
+  hists_.push_back(HistInfo{name, std::vector<std::uint64_t>(buckets, 0)});
+  return HistogramHandle(hists_.back().buckets.data(), buckets);
 }
 
 void MetricsRegistry::enable_intervals(std::uint32_t capacity) {
@@ -179,9 +157,9 @@ std::string MetricsRegistry::snapshot_json() const {
     out += '"';
     out += h.name;
     out += "\":[";
-    for (std::uint32_t b = 0; b < h.buckets; ++b) {
+    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
       if (b != 0) out += ',';
-      out += std::to_string(hist_slots_[h.base + b]);
+      out += std::to_string(h.buckets[b]);
     }
     out += ']';
   }
@@ -196,12 +174,8 @@ std::uint64_t MetricsRegistry::value(const std::string& name) const {
 
 std::vector<std::uint64_t> MetricsRegistry::histogram_values(
     const std::string& name) const {
-  for (const auto& h : hists_) {
-    if (h.name != name) continue;
-    return std::vector<std::uint64_t>(
-        hist_slots_.begin() + static_cast<std::ptrdiff_t>(h.base),
-        hist_slots_.begin() + static_cast<std::ptrdiff_t>(h.base + h.buckets));
-  }
+  for (const auto& h : hists_)
+    if (h.name == name) return h.buckets;
   return {};
 }
 

@@ -1,5 +1,5 @@
 // metrics.hpp — the deterministic metrics registry: named uint64 counter
-// and histogram slots, preallocated and cache-line padded at construction,
+// and histogram slots, registered at component construction and
 // incremented on the hot path through nullable always-inline handles.
 //
 // Zero-cost-when-off contract: a default-constructed handle holds a null
@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -87,15 +88,11 @@ struct CapturedInterval {
 
 class MetricsRegistry {
  public:
-  /// Preallocates every slot up front: registration hands out pointers
-  /// into these lanes, so they must never move. Construction is the only
-  /// allocation this class ever performs — the steady state (increments,
-  /// even further registrations) is allocation-free.
-  MetricsRegistry();
-
   /// Registers (or finds, by exact name) a counter and returns its
   /// handle. Registration order is the snapshot order, so components must
-  /// register in construction order — which is deterministic.
+  /// register in construction order — which is deterministic. A handle
+  /// stays valid for the registry's lifetime, whatever is registered
+  /// after it; increments never allocate.
   CounterHandle counter(const std::string& name);
 
   /// Registers (or finds) a histogram of `buckets` slots (>= 1; the last
@@ -183,12 +180,13 @@ class MetricsRegistry {
 
   struct HistInfo {
     std::string name;
-    std::size_t base;
-    std::uint32_t buckets;
+    /// Sized once at registration; a handle points at its data, which
+    /// moving the HistInfo leaves in place.
+    std::vector<std::uint64_t> buckets;
   };
 
-  std::vector<Slot> slots_;                 ///< capacity fixed at ctor
-  std::vector<std::uint64_t> hist_slots_;   ///< capacity fixed at ctor
+  /// A deque: appending a counter never moves the ones handles point at.
+  std::deque<Slot> slots_;
   std::vector<std::string> counter_names_;  ///< counter i is slots_[i]
   /// name -> i: counter() and value() find a name without scanning
   /// counter_names_ (the network registers 2 * nodes^2 counters).

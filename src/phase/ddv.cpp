@@ -55,12 +55,11 @@ DdvFabric::GatherResult DdvFabric::gather(NodeId i) {
   return out;
 }
 
-std::uint64_t DdvFabric::gather_payload_bytes(unsigned counter_bytes,
-                                              unsigned request_bytes) const {
+std::uint64_t DdvFabric::gather_payload_bytes() const {
   if (nodes_ <= 1) return 0;
   const std::uint64_t peers = nodes_ - 1;
-  return peers * (request_bytes +
-                  static_cast<std::uint64_t>(nodes_) * counter_bytes);
+  return peers * (kRequestBytes +
+                  static_cast<std::uint64_t>(nodes_) * kCounterBytes);
 }
 
 void DdvFabric::reset() {

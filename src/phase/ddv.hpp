@@ -80,11 +80,15 @@ class DdvFabric {
   /// Aborts if a count outgrows its 32-bit counter.
   GatherResult gather(NodeId i);
 
+  /// The gather's wire sizes: one query message, and one 32-bit count
+  /// per home in each reply vector.
+  static constexpr unsigned kRequestBytes = 8;
+  static constexpr unsigned kCounterBytes = 4;
+
   /// Payload bytes processor i moves per gather: (n-1) requests plus
   /// (n-1) n-entry count vectors — the traffic of the paper's §III-B
   /// overhead estimate.
-  std::uint64_t gather_payload_bytes(unsigned counter_bytes = 4,
-                                     unsigned request_bytes = 8) const;
+  std::uint64_t gather_payload_bytes() const;
 
   void reset();
 

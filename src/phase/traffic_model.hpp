@@ -8,6 +8,8 @@
 
 #include <cstdint>
 
+#include "phase/ddv.hpp"
+
 namespace dsm::phase {
 
 struct DdvTrafficParams {
@@ -15,8 +17,9 @@ struct DdvTrafficParams {
   double frequency_hz = 2e9;
   double ipc = 1.0;
   std::uint64_t interval_instructions = 100'000'000;  ///< "real-world" length
-  unsigned counter_bytes = 4;   ///< one frequency counter on the wire
-  unsigned request_bytes = 8;   ///< the query message
+  /// One frequency counter on the wire, and the query message.
+  unsigned counter_bytes = DdvFabric::kCounterBytes;
+  unsigned request_bytes = DdvFabric::kRequestBytes;
   double controller_bandwidth_gbps = 1.5;  ///< "modern memory controllers"
 };
 

@@ -120,11 +120,14 @@ class Fleet {
       return true;
     }
     for (unsigned i = 0; i < opt_.workers; ++i)
-      if (!spawn(i)) mark_down(i);
+      if (!spawn(i, now)) mark_down(i);
     return live_or_pending() > 0;
   }
 
-  bool spawn(unsigned i) {
+  /// Forks slot i's worker and starts its handshake clock at `now`, the
+  /// caller's time for this pass, so no check in the pass sees a spawn
+  /// newer than its own `now`.
+  bool spawn(unsigned i, std::uint64_t now) {
     Slot& s = slots_[i];
     int sv[2];
     // CLOEXEC on both ends: a forked sibling must not hold another
@@ -162,7 +165,7 @@ class Fleet {
     s.parked = false;
     s.fin_sent = false;
     s.respawn_at_ms = 0;
-    s.spawned_ms = steady_ms();
+    s.spawned_ms = now;
     s.last_beat.done = 0;  // the replacement counts from 0
     return true;
   }
@@ -508,7 +511,7 @@ class Fleet {
       if (s.respawn_at_ms != 0 && now >= s.respawn_at_ms) {
         s.respawn_at_ms = 0;
         ++respawned_;
-        if (!spawn(i)) mark_down(i);
+        if (!spawn(i, now)) mark_down(i);
       }
     }
     // Leased workers past their heartbeat deadline.
@@ -518,10 +521,14 @@ class Fleet {
     // Workers that never said hello within a deadline are equally dead.
     for (unsigned i = 0; i < slots_.size(); ++i) {
       Slot& s = slots_[i];
-      if (s.fd >= 0 && !s.hello_seen &&
-          now - s.spawned_ms >= opt_.tuning.heartbeat_deadline_ms)
+      if (s.fd >= 0 && !s.hello_seen && now >= handshake_deadline_ms(s))
         reap(i, "never completed the handshake");
     }
+  }
+
+  /// When a connected worker that has not said hello is declared dead.
+  std::uint64_t handshake_deadline_ms(const Slot& s) const {
+    return s.spawned_ms + opt_.tuning.heartbeat_deadline_ms;
   }
 
   void serve_parked(std::uint64_t now) {
@@ -537,8 +544,7 @@ class Fleet {
       if (s.respawn_at_ms != 0 && (!at || s.respawn_at_ms < *at))
         at = s.respawn_at_ms;
       if (s.fd >= 0 && !s.hello_seen) {
-        const std::uint64_t d =
-            s.spawned_ms + opt_.tuning.heartbeat_deadline_ms;
+        const std::uint64_t d = handshake_deadline_ms(s);
         if (!at || d < *at) at = d;
       }
     }

@@ -41,11 +41,9 @@ std::optional<Lease> LeaseTable::grant(unsigned worker, std::uint64_t now_ms,
   ws.last_heartbeat_ms = now_ms;
   ws.seen = true;
   if (pending_.empty()) return std::nullopt;
-  std::size_t chunk = tuning_.lease_chunk;
-  if (chunk == 0) {
-    const unsigned live = std::max(live_workers, 1u);
-    chunk = std::clamp<std::size_t>(pending_.size() / (2 * live), 1, 16);
-  }
+  const unsigned live = std::max(live_workers, 1u);
+  const std::size_t chunk =
+      std::clamp<std::size_t>(pending_.size() / (2 * live), 1, 16);
   // First contiguous run of pending indices starting at the minimum —
   // contiguous leases keep the coordinator's reorder buffer small (the
   // next-to-emit index is usually inside the oldest lease).

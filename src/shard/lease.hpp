@@ -30,8 +30,7 @@ namespace dsm::shard {
 /// good. Survivors still drain the released work either way.
 constexpr unsigned kMaxRespawns = 3;
 
-/// Fleet timing knobs. The bench command line sets all but lease_chunk,
-/// which stays on auto outside tests.
+/// Fleet timing knobs, all set from the bench command line.
 struct FleetTuning {
   /// A leased worker whose last heartbeat is at least this old is dead.
   std::uint64_t heartbeat_deadline_ms = 30000;
@@ -42,10 +41,6 @@ struct FleetTuning {
   /// min(base << (attempt-1), max) — see respawn_backoff_ms().
   std::uint64_t backoff_base_ms = 250;
   std::uint64_t backoff_max_ms = 8000;
-  /// Spec indices per lease; 0 = auto (remaining / (2 * live workers),
-  /// clamped to [1, 16]) so leases shrink as the sweep drains and a late
-  /// death never strands a large tail behind one worker.
-  std::size_t lease_chunk = 0;
 };
 
 /// Backoff before respawn attempt `attempt` (1-based) of a worker slot:
@@ -81,7 +76,9 @@ class LeaseTable {
   bool is_done(std::size_t index) const;
 
   /// Grants worker `worker` the first contiguous run of pending indices,
-  /// up to the lease chunk for `live_workers` live pullers. Returns
+  /// up to pending / (2 * live_workers) of them, clamped to [1, 16], so
+  /// leases shrink as the sweep drains and a late death never strands a
+  /// large tail behind one worker. Returns
   /// nullopt when nothing is pending (the worker parks: either other
   /// workers' leases are still outstanding, or the sweep is drained).
   /// Granting counts as a heartbeat — a fresh lease restarts the clock.

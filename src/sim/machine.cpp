@@ -34,8 +34,7 @@ Machine::Machine(const MachineConfig& cfg)
     : cfg_(cfg),
       obs_(cfg_.obs, cfg_.num_nodes),
       network_(cfg_, &obs_),
-      home_map_(cfg_.num_nodes, cfg_.memory.page_bytes,
-                mem::Placement::kRoundRobin),
+      home_map_(cfg_.num_nodes, cfg_.memory.page_bytes),
       fabric_(cfg_, network_, home_map_, &obs_),
       ddv_(cfg_.num_nodes, network_.topology().ddv_distance_matrix()),
       sched_(cfg_.num_nodes),
@@ -91,10 +90,11 @@ void Machine::end_interval(unsigned tid) {
   // paper's §III-B overhead estimate); the latency is off the critical
   // path — the exchange overlaps execution in dedicated hardware.
   auto gather = ddv_.gather(tid);
-  const unsigned vec_bytes = 4 * cfg_.num_nodes;
+  const unsigned vec_bytes = phase::DdvFabric::kCounterBytes * cfg_.num_nodes;
   for (NodeId p = 0; p < cfg_.num_nodes; ++p) {
     if (p == tid) continue;
-    network_.message_latency(tid, p, 8, now, net::TrafficClass::kDdv);
+    network_.message_latency(tid, p, phase::DdvFabric::kRequestBytes, now,
+                             net::TrafficClass::kDdv);
     network_.message_latency(p, tid, vec_bytes, now,
                              net::TrafficClass::kDdv);
   }

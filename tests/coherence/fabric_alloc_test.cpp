@@ -67,8 +67,7 @@ TEST(FabricAllocTest, SteadyStateAccessPathIsAllocationFree) {
   // nearly every private access) within a fast test.
   cfg.l2.size_bytes = 64 * 1024;
   net::Network network(cfg);
-  mem::HomeMap home_map(cfg.num_nodes, cfg.memory.page_bytes,
-                        mem::Placement::kRoundRobin);
+  mem::HomeMap home_map(cfg.num_nodes, cfg.memory.page_bytes);
   CoherenceFabric fabric(cfg, network, home_map);
 
   StreamGen gen{cfg.num_nodes, cfg.l2.line_bytes,
@@ -109,8 +108,7 @@ TEST(FabricAllocTest, SteadyStateIsAllocationFreeWithTracingOn) {
   cfg.obs.trace_events_per_node = 1024;  // small, so the rings wrap
   obs::Observability obs(cfg.obs, cfg.num_nodes);
   net::Network network(cfg, &obs);
-  mem::HomeMap home_map(cfg.num_nodes, cfg.memory.page_bytes,
-                        mem::Placement::kRoundRobin);
+  mem::HomeMap home_map(cfg.num_nodes, cfg.memory.page_bytes);
   CoherenceFabric fabric(cfg, network, home_map, &obs);
 
   StreamGen gen{cfg.num_nodes, cfg.l2.line_bytes,

@@ -45,7 +45,6 @@ struct Case {
   Protocol protocol;
   Topology topology;
   unsigned nodes;
-  mem::Placement placement;
   std::uint64_t expected;
 };
 
@@ -68,13 +67,13 @@ MachineConfig tiny_config(const Case& c) {
 /// Half the accesses go to 24 hot lines (L1 and L2 hits, sharing), the
 /// rest to 8 pages of 128 lines each, far more than the 64-line L2
 /// holds. Pages 0-3 are bound explicitly (to node p+1 mod n); the rest
-/// fall to the placement policy.
+/// live on page mod n.
 std::uint64_t run_case(const Case& c, unsigned accesses) {
   const MachineConfig cfg = tiny_config(c);
   EXPECT_EQ(cfg.validate(), "");
   obs::Observability obs(cfg.obs, cfg.num_nodes);
   net::Network network(cfg, &obs);
-  mem::HomeMap homes(cfg.num_nodes, cfg.memory.page_bytes, c.placement);
+  mem::HomeMap homes(cfg.num_nodes, cfg.memory.page_bytes);
   const std::uint64_t page = cfg.memory.page_bytes;
   for (unsigned p = 0; p < 4; ++p)
     homes.place_range(p * page, page, (p + 1) % cfg.num_nodes);
@@ -161,19 +160,17 @@ INSTANTIATE_TEST_SUITE_P(
     Protocols, FabricHashTest,
     ::testing::Values(
         Case{"msi_hypercube4", Protocol::kMsi, Topology::kHypercube, 4,
-             mem::Placement::kRoundRobin, 0xcdff32a703bb8122ull},
+             0xcdff32a703bb8122ull},
         Case{"mesi_hypercube4", Protocol::kMesi, Topology::kHypercube, 4,
-             mem::Placement::kRoundRobin, 0x3fba3edd665092afull},
+             0x3fba3edd665092afull},
         Case{"moesi_hypercube4", Protocol::kMoesi, Topology::kHypercube, 4,
-             mem::Placement::kRoundRobin, 0x8ad7805b723cb1d3ull},
+             0x8ad7805b723cb1d3ull},
         Case{"msi_ring3", Protocol::kMsi, Topology::kRing, 3,
-             mem::Placement::kRoundRobin, 0x9fdebabac4db9420ull},
+             0x9fdebabac4db9420ull},
         Case{"mesi_ring3", Protocol::kMesi, Topology::kRing, 3,
-             mem::Placement::kRoundRobin, 0xbd941f3ea66250e3ull},
+             0xbd941f3ea66250e3ull},
         Case{"moesi_ring3", Protocol::kMoesi, Topology::kRing, 3,
-             mem::Placement::kRoundRobin, 0x011f586cbf91a943ull},
-        Case{"moesi_ring3_first_touch", Protocol::kMoesi, Topology::kRing, 3,
-             mem::Placement::kFirstTouch, 0xf9e9001119947fcaull}),
+             0x011f586cbf91a943ull}),
     [](const ::testing::TestParamInfo<Case>& info) {
       return std::string(info.param.name);
     });

@@ -23,7 +23,7 @@ struct Rig {
   explicit Rig(unsigned nodes)
       : cfg(default_config(nodes)),
         network(cfg),
-        home_map(nodes, cfg.memory.page_bytes, mem::Placement::kRoundRobin),
+        home_map(nodes, cfg.memory.page_bytes),
         fabric(cfg, network, home_map) {}
 };
 
@@ -246,8 +246,7 @@ TEST(FabricTest, StreamingKeepsTrackedLinesAtLiveLines) {
   MachineConfig cfg = default_config(nodes);
   cfg.l2.size_bytes = 64 * 1024;  // 2048 lines -> evictions come quickly
   net::Network network(cfg);
-  mem::HomeMap home_map(nodes, cfg.memory.page_bytes,
-                        mem::Placement::kRoundRobin);
+  mem::HomeMap home_map(nodes, cfg.memory.page_bytes);
   CoherenceFabric fabric(cfg, network, home_map);
 
   const unsigned live_lines =
@@ -276,7 +275,7 @@ TEST(FabricTest, SingleNodeTracksExactlyResidentLines) {
   MachineConfig cfg = default_config(1);
   cfg.l2.size_bytes = 64 * 1024;
   net::Network network(cfg);
-  mem::HomeMap home_map(1, cfg.memory.page_bytes, mem::Placement::kRoundRobin);
+  mem::HomeMap home_map(1, cfg.memory.page_bytes);
   CoherenceFabric fabric(cfg, network, home_map);
 
   const unsigned live_lines =

@@ -45,7 +45,7 @@ class RefFabric {
 
     AccessOutcome out;
     out.write = is_write;
-    out.home = home_map_->home_of(line, node);
+    out.home = home_map_->home_of(line);
     if (is_write) ++me.stats.stores; else ++me.stats.loads;
 
     const mem::Cache::LineRef w1 = me.l1.lookup(line);
@@ -286,7 +286,7 @@ class RefFabric {
     const bool dirty = v.state == LineState::kModified ||
                        l1_state == LineState::kModified;
 
-    const NodeId vhome = home_map_->home_of(v.line_addr, evictor);
+    const NodeId vhome = home_map_->home_of(v.line_addr);
     Node& h = nodes_[vhome];
 
     if (dirty) {
@@ -349,10 +349,8 @@ TEST(PolicyRefDiffTest, MesiTablesMatchInlineReferenceLockstep) {
   // epochs, controller occupancy, caches, directories): the only shared
   // input is the access stream.
   net::Network net_a(cfg), net_b(cfg);
-  mem::HomeMap map_a(kNodes, cfg.memory.page_bytes,
-                     mem::Placement::kRoundRobin);
-  mem::HomeMap map_b(kNodes, cfg.memory.page_bytes,
-                     mem::Placement::kRoundRobin);
+  mem::HomeMap map_a(kNodes, cfg.memory.page_bytes);
+  mem::HomeMap map_b(kNodes, cfg.memory.page_bytes);
   CoherenceFabric fabric(cfg, net_a, map_a);  // policy-driven, MESI tables
   RefFabric ref(cfg, net_b, map_b);           // inline MESI, pre-seam
 
@@ -406,8 +404,8 @@ TEST(PolicyRefDiffTest, MesiTablesMatchInlineReferenceLockstep) {
     ASSERT_EQ(fabric.l2(n).resident_lines(), ref.l2(n).resident_lines());
     for (const Addr line : ref.l2(n).resident_lines()) {
       EXPECT_EQ(fabric.l2(n).state(line), ref.l2(n).state(line));
-      const DirEntry ea = fabric.directory(map_a.peek_home(line)).peek(line);
-      const DirEntry eb = ref.dir(map_b.peek_home(line)).peek(line);
+      const DirEntry ea = fabric.directory(map_a.home_of(line)).peek(line);
+      const DirEntry eb = ref.dir(map_b.home_of(line)).peek(line);
       EXPECT_EQ(ea.state, eb.state);
       EXPECT_EQ(ea.sharers, eb.sharers);
       EXPECT_EQ(ea.owner, eb.owner);

@@ -80,7 +80,7 @@ struct Rig {
   explicit Rig(unsigned nodes, Protocol protocol)
       : cfg(make_cfg(nodes, protocol)),
         network(cfg),
-        home_map(nodes, cfg.memory.page_bytes, mem::Placement::kRoundRobin),
+        home_map(nodes, cfg.memory.page_bytes),
         fabric(cfg, network, home_map) {}
 
   static MachineConfig make_cfg(unsigned nodes, Protocol protocol) {
@@ -209,8 +209,7 @@ TEST(MoesiFabricTest, EvictedOwnedLineLeavesItsSharersShared) {
   cfg.l2.associativity = 1;
   ASSERT_EQ(cfg.validate(), "");
   net::Network network(cfg);
-  mem::HomeMap home_map(4, cfg.memory.page_bytes,
-                        mem::Placement::kRoundRobin);
+  mem::HomeMap home_map(4, cfg.memory.page_bytes);
   CoherenceFabric fabric(cfg, network, home_map);
   const Addr a = 2 * cfg.memory.page_bytes;  // homed at node 2
   fabric.access(0, a, true, 0);
@@ -263,8 +262,7 @@ TEST_P(PolicyFuzzTest, RandomizedInvariantFuzz) {
   cfg.l2.associativity = 2;
   ASSERT_EQ(cfg.validate(), "");
   net::Network network(cfg);
-  mem::HomeMap home_map(4, cfg.memory.page_bytes,
-                        mem::Placement::kRoundRobin);
+  mem::HomeMap home_map(4, cfg.memory.page_bytes);
   CoherenceFabric fabric(cfg, network, home_map);
 
   std::uint64_t state = 0xf00du + static_cast<unsigned>(GetParam());

@@ -37,20 +37,6 @@ TEST(RngTest, NextBelowCoversRange) {
   }
 }
 
-TEST(RngTest, UniformIntInclusiveBounds) {
-  Rng r(11);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    const auto v = r.uniform_int(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= (v == -3);
-    saw_hi |= (v == 3);
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(RngTest, NextDoubleInUnitInterval) {
   Rng r(13);
   double sum = 0.0;
@@ -76,58 +62,6 @@ TEST(RngTest, NormalMomentsRoughlyCorrect) {
   const double var = sq / n - mean * mean;
   EXPECT_NEAR(mean, 5.0, 0.1);
   EXPECT_NEAR(var, 4.0, 0.3);
-}
-
-TEST(RngTest, ExponentialMeanIsInverseRate) {
-  Rng r(19);
-  double sum = 0.0;
-  const int n = 20'000;
-  for (int i = 0; i < n; ++i) sum += r.exponential(2.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.03);
-}
-
-TEST(RngTest, BernoulliFrequency) {
-  Rng r(23);
-  int hits = 0;
-  for (int i = 0; i < 10'000; ++i) hits += r.bernoulli(0.3);
-  EXPECT_NEAR(hits / 10'000.0, 0.3, 0.03);
-}
-
-TEST(RngTest, ZipfSkewsTowardSmallValues) {
-  Rng r(29);
-  std::vector<int> counts(16, 0);
-  for (int i = 0; i < 20'000; ++i) ++counts[r.zipf(16, 1.2)];
-  EXPECT_GT(counts[0], counts[4]);
-  EXPECT_GT(counts[4], counts[15]);
-}
-
-TEST(RngTest, ZipfZeroExponentIsUniformish) {
-  Rng r(31);
-  std::vector<int> counts(8, 0);
-  for (int i = 0; i < 16'000; ++i) ++counts[r.zipf(8, 0.0)];
-  for (const int c : counts) {
-    EXPECT_GT(c, 1600);
-    EXPECT_LT(c, 2400);
-  }
-}
-
-TEST(RngTest, ShuffleIsAPermutation) {
-  Rng r(37);
-  std::vector<int> v{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  auto sorted = v;
-  r.shuffle(v);
-  auto resorted = v;
-  std::sort(resorted.begin(), resorted.end());
-  EXPECT_EQ(resorted, sorted);
-}
-
-TEST(RngTest, SplitProducesIndependentStream) {
-  Rng a(41);
-  Rng b = a.split();
-  int same = 0;
-  for (int i = 0; i < 64; ++i)
-    if (a.next_u64() == b.next_u64()) ++same;
-  EXPECT_EQ(same, 0);
 }
 
 }  // namespace

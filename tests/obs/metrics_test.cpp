@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/config.hpp"
 #include "obs/observability.hpp"
 
@@ -83,6 +86,57 @@ TEST(MetricsTest, SnapshotJsonIsByteStable) {
             "{\"counters\":{\"coh.trans.uncached_read\":3,"
             "\"coh.trans.shared_write\":1},"
             "\"histograms\":{\"dir.probe_len\":[1,0,1]}}");
+}
+
+// A 64-node machine's network alone registers 2 * 64^2 counters. The
+// registry has no fixed capacity, and a handle keeps counting into its
+// own slot however many registrations follow it.
+TEST(MetricsTest, HandlesStayLiveAcrossThousandsOfLaterRegistrations) {
+  constexpr std::size_t kCounters = 5000;
+  constexpr std::size_t kHists = 65;
+  constexpr std::uint32_t kBuckets = 1024;  // 66,560 buckets in all
+  const auto name = [](char kind, std::size_t i) {
+    std::string s(1, kind);
+    s += std::to_string(i);
+    return s;
+  };
+  MetricsRegistry reg;
+  std::vector<CounterHandle> counters;
+  std::vector<HistogramHandle> hists;
+  for (std::size_t i = 0; i < kCounters; ++i) {
+    counters.push_back(reg.counter(name('c', i)));
+    counters.back().inc();  // before every later registration
+    if (i < kHists) {
+      hists.push_back(reg.histogram(name('h', i), kBuckets));
+      hists.back().record(i);
+    }
+  }
+  for (std::size_t i = 0; i < kCounters; ++i) counters[i].add(i);
+  for (std::size_t h = 0; h < kHists; ++h) hists[h].record(h);
+  ASSERT_EQ(reg.num_counters(), kCounters);
+
+  std::string want = "{\"counters\":{";
+  for (std::size_t i = 0; i < kCounters; ++i) {
+    if (i != 0) want += ',';
+    want += '"';
+    want += name('c', i);
+    want += "\":";
+    want += std::to_string(i + 1);
+  }
+  want += "},\"histograms\":{";
+  for (std::size_t h = 0; h < kHists; ++h) {
+    if (h != 0) want += ',';
+    want += '"';
+    want += name('h', h);
+    want += "\":[";
+    for (std::uint32_t b = 0; b < kBuckets; ++b) {
+      if (b != 0) want += ',';
+      want += b == h ? '2' : '0';
+    }
+    want += ']';
+  }
+  want += "}}";
+  EXPECT_EQ(reg.snapshot_json(), want);
 }
 
 TEST(MetricsTest, ObservabilityOffHandsOutNullHandlesOnly) {

@@ -10,7 +10,7 @@ namespace {
 constexpr std::uint64_t kPage = 4096;
 
 TEST(AllocatorTest, AllocationsArePageAlignedAndDisjoint) {
-  mem::HomeMap hm(4, kPage, mem::Placement::kRoundRobin);
+  mem::HomeMap hm(4, kPage);
   SimAllocator alloc(hm);
   const Addr a = alloc.alloc(100);
   const Addr b = alloc.alloc(5000);
@@ -24,39 +24,39 @@ TEST(AllocatorTest, AllocationsArePageAlignedAndDisjoint) {
 }
 
 TEST(AllocatorTest, AllocOnPlacesEveryPage) {
-  mem::HomeMap hm(4, kPage, mem::Placement::kRoundRobin);
+  mem::HomeMap hm(4, kPage);
   SimAllocator alloc(hm);
   const Addr a = alloc.alloc_on(3 * kPage, 2);
   for (Addr off = 0; off < 3 * kPage; off += kPage)
-    EXPECT_EQ(hm.home_of(a + off, 0), 2u);
+    EXPECT_EQ(hm.home_of(a + off), 2u);
 }
 
 TEST(AllocatorTest, AllocDistributedRoundRobins) {
-  mem::HomeMap hm(4, kPage, mem::Placement::kFirstTouch);
+  mem::HomeMap hm(4, kPage);
   SimAllocator alloc(hm);
   const Addr a = alloc.alloc_distributed(4 * kPage, 1);
-  EXPECT_EQ(hm.home_of(a, 0), 1u);
-  EXPECT_EQ(hm.home_of(a + kPage, 0), 2u);
-  EXPECT_EQ(hm.home_of(a + 2 * kPage, 0), 3u);
-  EXPECT_EQ(hm.home_of(a + 3 * kPage, 0), 0u);
+  EXPECT_EQ(hm.home_of(a), 1u);
+  EXPECT_EQ(hm.home_of(a + kPage), 2u);
+  EXPECT_EQ(hm.home_of(a + 2 * kPage), 3u);
+  EXPECT_EQ(hm.home_of(a + 3 * kPage), 0u);
 }
 
 TEST(AllocatorTest, DefaultAllocUsesPolicy) {
-  mem::HomeMap hm(4, kPage, mem::Placement::kRoundRobin);
+  mem::HomeMap hm(4, kPage);
   SimAllocator alloc(hm);
   const Addr a = alloc.alloc(2 * kPage);
-  // Round-robin policy by page index: consecutive pages differ.
-  EXPECT_NE(hm.home_of(a, 0), hm.home_of(a + kPage, 0));
+  // Page mod n: consecutive pages differ.
+  EXPECT_NE(hm.home_of(a), hm.home_of(a + kPage));
 }
 
 TEST(AllocatorTest, BaseIsRespected) {
-  mem::HomeMap hm(2, kPage, mem::Placement::kRoundRobin);
+  mem::HomeMap hm(2, kPage);
   SimAllocator alloc(hm, /*base=*/1ull << 30);
   EXPECT_GE(alloc.alloc(8), 1ull << 30);
 }
 
 TEST(AllocatorDeathTest, ZeroBytesAborts) {
-  mem::HomeMap hm(2, kPage, mem::Placement::kRoundRobin);
+  mem::HomeMap hm(2, kPage);
   SimAllocator alloc(hm);
   EXPECT_DEATH(alloc.alloc(0), "bytes");
 }
