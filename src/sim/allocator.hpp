@@ -16,7 +16,7 @@ class SimAllocator {
   /// so placement is never split by a neighbor.
   SimAllocator(mem::HomeMap& home_map, Addr base = 1ull << 20);
 
-  /// Allocates `bytes` with the machine's default placement policy.
+  /// Allocates `bytes` unplaced: each page lives on node page mod n.
   Addr alloc(std::uint64_t bytes);
 
   /// Allocates `bytes` with every page homed on `node`.
