@@ -55,13 +55,6 @@ DdvFabric::GatherResult DdvFabric::gather(NodeId i) {
   return out;
 }
 
-std::uint64_t DdvFabric::gather_payload_bytes() const {
-  if (nodes_ <= 1) return 0;
-  const std::uint64_t peers = nodes_ - 1;
-  return peers * (kRequestBytes +
-                  static_cast<std::uint64_t>(nodes_) * kCounterBytes);
-}
-
 void DdvFabric::reset() {
   std::fill(cumulative_.begin(), cumulative_.end(), 0);
   std::fill(own_snapshot_.begin(), own_snapshot_.end(), 0);

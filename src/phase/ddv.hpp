@@ -85,10 +85,14 @@ class DdvFabric {
   static constexpr unsigned kRequestBytes = 8;
   static constexpr unsigned kCounterBytes = 4;
 
-  /// Payload bytes processor i moves per gather: (n-1) requests plus
-  /// (n-1) n-entry count vectors — the traffic of the paper's §III-B
-  /// overhead estimate.
-  std::uint64_t gather_payload_bytes() const;
+  /// Payload bytes one processor of an n-node machine moves per gather:
+  /// (n-1) requests plus (n-1) n-entry count vectors — the traffic of the
+  /// paper's §III-B overhead estimate.
+  static constexpr std::uint64_t gather_payload_bytes(unsigned nodes) {
+    if (nodes <= 1) return 0;
+    return std::uint64_t{nodes - 1} *
+           (kRequestBytes + std::uint64_t{nodes} * kCounterBytes);
+  }
 
   void reset();
 

@@ -1,6 +1,7 @@
 #include "phase/traffic_model.hpp"
 
 #include "common/assert.hpp"
+#include "phase/ddv.hpp"
 
 namespace dsm::phase {
 
@@ -12,10 +13,7 @@ DdvTrafficResult ddv_traffic(const DdvTrafficParams& p) {
       p.frequency_hz * p.ipc / static_cast<double>(p.interval_instructions);
   // Each interval end: n-1 queries out, n-1 vector replies back. A reply
   // carries the peer's n-entry on-behalf frequency vector.
-  const std::uint64_t peers = p.nodes - 1;
-  r.bytes_per_gather =
-      peers * (p.request_bytes +
-               static_cast<std::uint64_t>(p.nodes) * p.counter_bytes);
+  r.bytes_per_gather = DdvFabric::gather_payload_bytes(p.nodes);
   // A node's interface carries the same volume again in its responder
   // role (it answers every peer's gather), so sustained per-node traffic
   // is twice the gather payload per interval — this is how the paper's

@@ -8,8 +8,6 @@
 
 #include <cstdint>
 
-#include "phase/ddv.hpp"
-
 namespace dsm::phase {
 
 struct DdvTrafficParams {
@@ -17,9 +15,6 @@ struct DdvTrafficParams {
   double frequency_hz = 2e9;
   double ipc = 1.0;
   std::uint64_t interval_instructions = 100'000'000;  ///< "real-world" length
-  /// One frequency counter on the wire, and the query message.
-  unsigned counter_bytes = DdvFabric::kCounterBytes;
-  unsigned request_bytes = DdvFabric::kRequestBytes;
   double controller_bandwidth_gbps = 1.5;  ///< "modern memory controllers"
 };
 

@@ -159,14 +159,6 @@ TEST_P(DdvEquivalenceTest, EquivalenceWithNaiveMatrixImplementation) {
 INSTANTIATE_TEST_SUITE_P(Nodes, DdvEquivalenceTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 32u, 64u));
 
-TEST(DdvTest, GatherPayloadBytes) {
-  DdvFabric ddv(32, unit_distance(32));
-  // 31 peers x (8-byte request + 32 4-byte counters) = 31 * 136 = 4216.
-  EXPECT_EQ(ddv.gather_payload_bytes(), 4216u);
-  DdvFabric single(1, unit_distance(1));
-  EXPECT_EQ(single.gather_payload_bytes(), 0u);
-}
-
 TEST(DdvTest, ResetZeroesState) {
   DdvFabric ddv(2, unit_distance(2));
   ddv.record_access(0, 1);
